@@ -41,14 +41,13 @@ from .errors import (
     ResourceLimitError,
 )
 from .fictitious_play import FictitiousPlayResult, run_fictitious_play
-from .linprog import LinearProgram, LpSolution, solve_lp
 from .matrix_game import (
     MatrixGame,
     embed_matrix_game,
     solve_zero_sum,
     subgame_matrix,
 )
-from .milp import MilpModel, MilpSolution, solve_milp
+from .milp import LinearProgram, MilpModel, MilpSolution, solve_milp
 from .one_dim import (
     GridSearchOracle,
     duplicate_first_axis,
@@ -77,7 +76,6 @@ __all__ = [
     "InvalidStrategyError",
     "IterationRecord",
     "LinearProgram",
-    "LpSolution",
     "MatrixGame",
     "MilpModel",
     "MilpSolution",
@@ -109,7 +107,6 @@ __all__ = [
     "run_double_oracle",
     "run_fictitious_play",
     "simplex_grid",
-    "solve_lp",
     "solve_milp",
     "solve_zero_sum",
     "subgame_matrix",

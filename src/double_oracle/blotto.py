@@ -12,7 +12,9 @@ Best responses against a finite opponent mixture come in two flavors:
   ``l(z) = max(z/c + 1, 0) - max(z/c - 1, 0) - 1`` and linearizing each of
   the two hinge terms with one continuous variable, one indicator binary, and
   four linear constraints (big-M constants ``1/c - 1`` and ``1/c + 1``, which
-  are tight for unit budgets);
+  are tight for unit budgets).  HiGHS solves it (see :mod:`.milp`), and the
+  answer's value is the utility of the returned allocation, recomputed from
+  the game rather than read off the MILP objective;
 * exhaustive enumeration over the grid of allocations in multiples of a grid
   spacing ``c``.
 """
@@ -32,8 +34,7 @@ from .core import (
     StrategyPoint,
 )
 from .errors import DomainError, ModelError, ParameterError, ResourceLimitError
-from .linprog import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram
-from .milp import MilpModel, solve_milp
+from .milp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, MilpModel, solve_milp
 from .oracles import OracleAnswer, best_over_points
 
 MILP_ACCURACY = 1e-6
@@ -266,16 +267,20 @@ def milp_best_response(
 ) -> OracleAnswer:
     """Exact best response for player 1 via the MILP formulation.
 
-    The returned value is the MILP objective; it matches the true expected
-    utility of the returned allocation within :data:`MILP_ACCURACY`.
+    The returned value is the expected utility of the returned allocation.
+    HiGHS's objective, computed within its tolerances, differs from that
+    utility by up to about 1e-6 on random mixtures, which would use up all
+    of :data:`MILP_ACCURACY`.
     """
+    atoms, weights = _opponent_matrix(opponent, game)
     model = build_best_response_milp(opponent, game)
     solution = solve_milp(model, **milp_options)
     if solution.status != "optimal":
         raise ModelError(f"best-response MILP ended {solution.status}")
     x = np.clip(solution.x[: game.n], 0.0, None)
     x /= x.sum()
-    return OracleAnswer(StrategyPoint(tuple(float(v) for v in x)), float(solution.objective))
+    value = float(blotto_utility(x, atoms, game) @ weights)
+    return OracleAnswer(StrategyPoint(tuple(float(v) for v in x)), value)
 
 
 def grid_enumeration_best_response(
@@ -328,7 +333,12 @@ class BlottoMilpOracle:
 
 
 class BlottoGridOracle:
-    """Enumeration best responses for either player over a fixed grid."""
+    """Enumeration best responses for either player over a fixed grid.
+
+    The declared accuracy of 0.0 holds on the grid only.  Start double oracle
+    from grid points: an off-grid subgame strategy can beat every grid
+    response, and the engine then raises :class:`OracleContractError`.
+    """
 
     def __init__(self, game: BlottoGame, player: int, grid_c: float | None = None):
         if player not in (1, 2):

@@ -172,6 +172,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ParameterError(
                 f"init: unknown initialization {cfg.init!r}; choices are {', '.join(BLOTTO_INITS)}"
             )
+        if cfg.oracle == "enumeration" and cfg.init == "random":
+            raise ParameterError(
+                "init: random starting points leave the allocation lattice that "
+                "the enumeration oracle searches; use corners or grid"
+            )
         lattice = cfg.init == "grid" or cfg.oracle == "enumeration"
         if lattice and abs(1.0 / cfg.c - round(1.0 / cfg.c)) > 1e-9:
             field = "init" if cfg.init == "grid" else "oracle"

@@ -26,7 +26,7 @@ from .core import (
     require_in_space,
 )
 from .errors import OracleContractError, ParameterError
-from .matrix_game import solve_zero_sum, subgame_matrix
+from .matrix_game import VALUE_TOL, solve_zero_sum, subgame_matrix
 from .oracles import BestResponseOracle, OracleAnswer
 
 # Absolute slack added to the gap <= epsilon stopping test.  Exact arithmetic
@@ -122,6 +122,22 @@ def _checked_answer(
     return answer
 
 
+def _check_against_subgame(
+    answer: OracleAnswer, oracle: BestResponseOracle, value: float, player: int
+) -> None:
+    """Reject a best-response value worse for ``player`` than the subgame value.
+
+    The subgame's own strategies already earn ``value`` against the
+    opponent's equilibrium strategy, so no true best response does worse.
+    """
+    shortfall = value - answer.value if player == 1 else answer.value - value
+    if shortfall > oracle.accuracy + VALUE_TOL:
+        raise OracleContractError(
+            f"player {player} oracle reported value {answer.value}, but the "
+            f"subgame already guarantees {value} (accuracy {oracle.accuracy})"
+        )
+
+
 def run_double_oracle(
     game: GameDefinition,
     oracle1: BestResponseOracle,
@@ -138,7 +154,9 @@ def run_double_oracle(
     trace.  Reaching ``max_iters`` is a normal outcome reported as
     ``terminated_by == "iteration_cap"``, not an error.  ``on_iteration`` is
     invoked with each record as it is produced, which lets callers stream
-    partial traces.
+    partial traces.  An oracle answer outside its player's space, or whose
+    value falls short of the subgame value by more than the oracle's
+    accuracy plus :data:`VALUE_TOL`, raises :class:`OracleContractError`.
     """
     if epsilon < 0:
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
@@ -151,9 +169,11 @@ def run_double_oracle(
     trace: list[IterationRecord] = []
     for i in range(1, max_iters + 1):
         started = time.perf_counter()
-        p_star, q_star, _ = solve_zero_sum(subgame_matrix(game, xs, ys))
+        p_star, q_star, value = solve_zero_sum(subgame_matrix(game, xs, ys))
         ans1 = _checked_answer(oracle1, q_star, game.space1, 1)
         ans2 = _checked_answer(oracle2, p_star, game.space2, 2)
+        _check_against_subgame(ans1, oracle1, value, 1)
+        _check_against_subgame(ans2, oracle2, value, 2)
         record = IterationRecord(
             index=i,
             lower=ans2.value,

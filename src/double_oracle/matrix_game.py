@@ -1,15 +1,9 @@
 """Exact equilibria of finite zero-sum matrix games via linear programming.
 
-The value LP is the classical reciprocal form: shift the payoff matrix so
-every entry is positive, solve ``min sum(p')`` subject to ``A'^T p' >= 1``
-for the row player (and the symmetric ``max sum(q')`` with ``A' q' <= 1``
-for the column player), then normalize and un-shift.  One LP per player.
-
-The LPs go to SciPy's HiGHS backend when it is importable; the package's own
-tableau solver is the fallback.  On large degenerate subgames the dense
-tableau accumulates enough pivot roundoff to miss the minimax certificate
-below, and HiGHS's revised simplex does not.  The certificate is verified
-here either way, independent of which solver produced the strategies.
+One LP per game, solved by HiGHS: the row player's ``max v`` subject to
+``A^T p >= v``, ``sum(p) = 1``, ``p >= 0``.  The column player's strategy is
+the dual of the ``A^T p >= v`` rows.  The minimax certificate below is
+verified on the returned pair, independent of the solver.
 """
 
 from __future__ import annotations
@@ -18,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import linprog as _scipy_linprog
 
 from .core import (
     FiniteMixedStrategy,
@@ -27,15 +22,12 @@ from .core import (
     require_in_space,
 )
 from .errors import ModelError
-from .linprog import GREATER_EQUAL, LESS_EQUAL, LinearProgram, solve_lp
-
-try:
-    from scipy.optimize import linprog as _scipy_linprog
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_linprog = None
 
 # |max_i (Aq)_i - value| and |min_j (p^T A)_j - value| for returned equilibria.
 CERTIFICATE_TOL = 1e-7
+# Certificate residual above which solve_zero_sum raises.  The engine gives
+# an oracle value the same slack against the subgame value.
+VALUE_TOL = 1e-6
 
 
 @dataclass
@@ -119,26 +111,6 @@ def subgame_matrix(
     return MatrixGame(payoff, tuple(xs), tuple(ys))
 
 
-def _reciprocal_weights(lp: LinearProgram, label: str) -> np.ndarray:
-    """Optimal point of a reciprocal-form LP, preferring the HiGHS backend."""
-    if _scipy_linprog is not None:
-        senses = np.asarray([1.0 if s == LESS_EQUAL else -1.0 for s in lp.senses])
-        res = _scipy_linprog(
-            -lp.objective,
-            A_ub=lp.lhs * senses[:, None],
-            b_ub=lp.rhs * senses,
-            bounds=(0, None),
-            method="highs",
-        )
-        if res.status == 0:
-            return np.clip(res.x, 0.0, None)
-        # fall through on any distress and let the tableau solver decide
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise ModelError(f"{label} LP ended {sol.status}")
-    return np.clip(sol.x, 0.0, None)
-
-
 def solve_zero_sum(
     mg: MatrixGame,
 ) -> tuple[FiniteMixedStrategy, FiniteMixedStrategy, float]:
@@ -146,38 +118,36 @@ def solve_zero_sum(
 
     The output satisfies the minimax certificate
     ``max_i (A q*)_i = value = min_j (p*^T A)_j`` within
-    :data:`CERTIFICATE_TOL`; a gross violation raises :class:`ModelError`.
+    :data:`CERTIFICATE_TOL`; a violation beyond :data:`VALUE_TOL` raises
+    :class:`ModelError`, and so does an LP that HiGHS does not solve to
+    optimality.
     """
     A = mg.payoff
     m, k = A.shape
-    shift = 1.0 + max(0.0, -float(A.min()))
-    S = A + shift
-
-    row_lp = LinearProgram(
-        objective=-np.ones(m),
-        lhs=S.T,
-        senses=(GREATER_EQUAL,) * k,
-        rhs=np.ones(k),
+    # Variables (p, v); minimize -v.  Row j reads v - (A^T p)_j <= 0.
+    cost = np.zeros(m + 1)
+    cost[-1] = -1.0
+    res = _scipy_linprog(
+        cost,
+        A_ub=np.hstack([-A.T, np.ones((k, 1))]),
+        b_ub=np.zeros(k),
+        A_eq=np.append(np.ones(m), 0.0)[None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * m + [(None, None)],
+        method="highs",
     )
-    p_raw = _reciprocal_weights(row_lp, "row-player")
-    v1 = 1.0 / p_raw.sum()
-
-    col_lp = LinearProgram(
-        objective=np.ones(k),
-        lhs=S,
-        senses=(LESS_EQUAL,) * m,
-        rhs=np.ones(m),
-    )
-    q_raw = _reciprocal_weights(col_lp, "column-player")
-    v2 = 1.0 / q_raw.sum()
+    if res.status != 0:
+        raise ModelError(f"subgame LP ended with status {res.status}: {res.message}")
+    p_raw = np.clip(res.x[:m], 0.0, None)
+    q_raw = np.clip(-res.ineqlin.marginals, 0.0, None)
+    value = float(res.x[-1])
 
     p_vec = p_raw / p_raw.sum()
     q_vec = q_raw / q_raw.sum()
-    value = 0.5 * (v1 + v2) - shift
 
     best_row = float((A @ q_vec).max())
     best_col = float((p_vec @ A).min())
-    if abs(best_row - value) > 1e-6 or abs(best_col - value) > 1e-6:
+    if abs(best_row - value) > VALUE_TOL or abs(best_col - value) > VALUE_TOL:
         raise ModelError(
             f"equilibrium certificate violated: max row {best_row}, "
             f"min col {best_col}, value {value}"

@@ -1,49 +1,96 @@
-"""Branch and bound for mixed 0/1 linear programs.
+"""Mixed 0/1 linear programs, solved by HiGHS through ``scipy.optimize.milp``.
 
-The search is best-first on LP relaxation bounds.  Branching fixes the most
-fractional binary variable, ties broken at the lowest variable index, so runs
-are deterministic.  Each node tightens variable bounds by iterated constraint
-activity propagation before solving its relaxation; with the big-M models
-built elsewhere in this package that fixes whole blocks of binaries per
-branch and keeps the tree small.  Propagation only removes points that are
-either infeasible or integer-infeasible, so node bounds stay valid.
+Models are stated in maximization form::
 
-Node relaxations differ from each other only in variable bounds, and there
-are hundreds of them per solve, so they go to SciPy's HiGHS backend when
-SciPy is importable; otherwise (or on a numerically distressed node) the
-tableau solver in :mod:`.linprog` is used.  Everything else - the tree, the
-bounds, the statuses - is computed here.
+    max  objective @ x + offset
+    s.t. lhs[i] @ x  (senses[i])  rhs[i]      senses in {"<=", ">=", "="}
+         lower <= x <= upper                  entries may be +-inf
+
+:class:`LinearProgram` holds and validates such a model, :class:`MilpModel`
+marks some of its variables binary, and :func:`solve_milp` hands the model to
+HiGHS with a zero relative optimality gap.  ``scipy.optimize.milp`` does not
+expose HiGHS's absolute gap, so that stays at its default of 1e-6: an
+"optimal" answer may lie up to 1e-6 below the optimum.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint
+from scipy.optimize import milp as _scipy_milp
 
 from .errors import ModelError, ResourceLimitError
-from .linprog import (
-    EQUAL,
-    GREATER_EQUAL,
-    LESS_EQUAL,
-    LinearProgram,
-    LpSolution,
-    solve_lp,
-)
 
-try:
-    from scipy.optimize import linprog as _scipy_linprog
-except ImportError:  # pragma: no cover - scipy is a soft dependency
-    _scipy_linprog = None
-
-DEFAULT_INT_TOL = 1e-6
-DEFAULT_GAP_TOL = 1e-9
 DEFAULT_NODE_LIMIT = 10**6
-_BOUND_EPS = 1e-9  # slack added to propagated bounds against float roundoff
-_ROW_INFEAS_TOL = 1e-7
+
+LESS_EQUAL = "<="
+GREATER_EQUAL = ">="
+EQUAL = "="
+_SENSES = {LESS_EQUAL, GREATER_EQUAL, EQUAL}
+
+# scipy.optimize.milp statuses.  An exhausted node budget, which HiGHS
+# reports as "Solution limit reached", arrives as _OTHER like a solve error.
+_OPTIMAL, _INFEASIBLE, _UNBOUNDED, _OTHER = 0, 2, 3, 4
+
+
+@dataclass
+class LinearProgram:
+    """A dense LP in the maximization form described in the module docstring."""
+
+    objective: np.ndarray
+    lhs: np.ndarray
+    senses: tuple[str, ...]
+    rhs: np.ndarray
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
+    offset: float = 0.0
+
+    def __post_init__(self):
+        self.objective = np.asarray(self.objective, dtype=float).reshape(-1)
+        n = self.objective.size
+        try:
+            self.lhs = np.asarray(self.lhs, dtype=float).reshape(-1, n) if n else np.zeros((0, 0))
+        except ValueError as exc:
+            raise ModelError(f"lhs is not a matrix with {n} columns") from exc
+        self.rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
+        senses = tuple("=" if s in ("=", "==") else s for s in self.senses)
+        if any(s not in _SENSES for s in senses):
+            raise ModelError(f"unknown constraint sense in {senses}")
+        self.senses = senses
+        m = self.lhs.shape[0]
+        if self.rhs.size != m or len(self.senses) != m:
+            raise ModelError(
+                f"inconsistent row counts: {m} lhs rows, {self.rhs.size} rhs, "
+                f"{len(self.senses)} senses"
+            )
+        self.lower = (
+            np.zeros(n) if self.lower is None else np.asarray(self.lower, dtype=float).reshape(-1)
+        )
+        self.upper = (
+            np.full(n, np.inf)
+            if self.upper is None
+            else np.asarray(self.upper, dtype=float).reshape(-1)
+        )
+        if self.lower.size != n or self.upper.size != n:
+            raise ModelError("bound vectors must match the objective length")
+        if np.any(self.lower > self.upper):
+            j = int(np.argmax(self.lower > self.upper))
+            raise ModelError(f"variable {j} has lower {self.lower[j]} > upper {self.upper[j]}")
+        if not np.all(np.isfinite(self.objective)):
+            raise ModelError("objective coefficients must be finite")
+        if not (np.all(np.isfinite(self.lhs)) and np.all(np.isfinite(self.rhs))):
+            raise ModelError("constraint coefficients must be finite")
+
+    @property
+    def n_vars(self) -> int:
+        return self.objective.size
+
+    @property
+    def n_rows(self) -> int:
+        return self.lhs.shape[0]
 
 
 @dataclass
@@ -70,241 +117,74 @@ class MilpModel:
 
 
 @dataclass
-class MilpSolution(LpSolution):
-    """LP-style outcome plus search statistics.
+class MilpSolution:
+    """Solver outcome: ``status`` in {"optimal", "infeasible", "unbounded"}.
 
     ``bound`` is the proved upper bound on the optimum at termination and
-    ``nodes`` counts solved LP relaxations.
+    ``nodes`` the branch-and-bound node count HiGHS reports.
     """
 
+    status: str
+    x: np.ndarray | None = None
+    objective: float | None = None
     nodes: int = 0
     bound: float = math.nan
 
 
-def _propagate(
-    A: np.ndarray,
-    senses: tuple[str, ...],
-    b: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    binary_vars: tuple[int, ...],
-    int_tol: float,
-    max_rounds: int = 25,
-) -> bool:
-    """Tighten (lo, hi) in place; returns False when infeasibility is proven."""
-    m = A.shape[0]
-    rows = [(i, np.flatnonzero(A[i])) for i in range(m)]
-    for _ in range(max_rounds):
-        changed = False
-        for i, nz in rows:
-            if nz.size == 0:
-                continue
-            a = A[i, nz]
-            tmin = np.where(a > 0, a * lo[nz], a * hi[nz])
-            tmax = np.where(a > 0, a * hi[nz], a * lo[nz])
-            sense = senses[i]
-
-            if sense in (LESS_EQUAL, EQUAL):
-                inf_mask = np.isneginf(tmin)
-                n_inf = int(inf_mask.sum())
-                fin_sum = tmin[~inf_mask].sum()
-                if n_inf == 0 and fin_sum > b[i] + _ROW_INFEAS_TOL:
-                    return False
-                if n_inf <= 1:
-                    for k in range(nz.size):
-                        if n_inf == 1 and not inf_mask[k]:
-                            continue
-                        rest = fin_sum - (0.0 if inf_mask[k] else tmin[k])
-                        cap = b[i] - rest
-                        j = nz[k]
-                        if a[k] > 0:
-                            new_hi = cap / a[k] + _BOUND_EPS
-                            if new_hi < hi[j] - _BOUND_EPS:
-                                hi[j] = new_hi
-                                changed = True
-                        else:
-                            new_lo = cap / a[k] - _BOUND_EPS
-                            if new_lo > lo[j] + _BOUND_EPS:
-                                lo[j] = new_lo
-                                changed = True
-
-            if sense in (GREATER_EQUAL, EQUAL):
-                inf_mask = np.isposinf(tmax)
-                n_inf = int(inf_mask.sum())
-                fin_sum = tmax[~inf_mask].sum()
-                if n_inf == 0 and fin_sum < b[i] - _ROW_INFEAS_TOL:
-                    return False
-                if n_inf <= 1:
-                    for k in range(nz.size):
-                        if n_inf == 1 and not inf_mask[k]:
-                            continue
-                        rest = fin_sum - (0.0 if inf_mask[k] else tmax[k])
-                        need = b[i] - rest
-                        j = nz[k]
-                        if a[k] > 0:
-                            new_lo = need / a[k] - _BOUND_EPS
-                            if new_lo > lo[j] + _BOUND_EPS:
-                                lo[j] = new_lo
-                                changed = True
-                        else:
-                            new_hi = need / a[k] + _BOUND_EPS
-                            if new_hi < hi[j] - _BOUND_EPS:
-                                hi[j] = new_hi
-                                changed = True
-
-        for j in binary_vars:
-            if lo[j] > int_tol and lo[j] < 1.0:
-                lo[j] = 1.0
-                changed = True
-            if hi[j] < 1.0 - int_tol and hi[j] > 0.0:
-                hi[j] = 0.0
-                changed = True
-        if np.any(lo > hi + _ROW_INFEAS_TOL):
-            return False
-        np.minimum(lo, hi, out=lo)
-        if not changed:
-            break
-    return True
-
-
-class _RelaxationSolver:
-    """Solves a stream of LP relaxations that differ only in variable bounds."""
-
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        self.scipy_ok = _scipy_linprog is not None
-        if self.scipy_ok:
-            le = [i for i, s in enumerate(lp.senses) if s == LESS_EQUAL]
-            ge = [i for i, s in enumerate(lp.senses) if s == GREATER_EQUAL]
-            eq = [i for i, s in enumerate(lp.senses) if s == EQUAL]
-            ub_blocks = [lp.lhs[le]] if le else []
-            ub_rhs = [lp.rhs[le]] if le else []
-            if ge:
-                ub_blocks.append(-lp.lhs[ge])
-                ub_rhs.append(-lp.rhs[ge])
-            self.a_ub = np.vstack(ub_blocks) if ub_blocks else None
-            self.b_ub = np.concatenate(ub_rhs) if ub_rhs else None
-            self.a_eq = lp.lhs[eq] if eq else None
-            self.b_eq = lp.rhs[eq] if eq else None
-            self.cost = -lp.objective
-
-    def solve(self, lo: np.ndarray, hi: np.ndarray) -> LpSolution:
-        if self.scipy_ok:
-            res = _scipy_linprog(
-                self.cost,
-                A_ub=self.a_ub,
-                b_ub=self.b_ub,
-                A_eq=self.a_eq,
-                b_eq=self.b_eq,
-                bounds=np.column_stack([lo, hi]),
-                method="highs",
-            )
-            if res.status == 0:
-                return LpSolution(
-                    "optimal", np.asarray(res.x), float(self.lp.offset - res.fun)
-                )
-            if res.status == 2:
-                return LpSolution("infeasible")
-            if res.status == 3:
-                return LpSolution("unbounded")
-            # status 1/4 (limits or numerical trouble): retry exactly below.
-        return solve_lp(
-            LinearProgram(
-                objective=self.lp.objective,
-                lhs=self.lp.lhs,
-                senses=self.lp.senses,
-                rhs=self.lp.rhs,
-                lower=lo,
-                upper=hi,
-                offset=self.lp.offset,
-            )
-        )
-
-
-def solve_milp(
-    model: MilpModel,
-    int_tol: float = DEFAULT_INT_TOL,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    propagate: bool = True,
-) -> MilpSolution:
+def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSolution:
     """Maximize the model over binary assignments of its integer variables.
 
-    Returns an incumbent whose binaries are within ``int_tol`` of {0, 1} and
-    whose objective is within ``gap_tol`` (absolute) of the proved bound, or
-    an infeasible status when no integer-feasible point exists.  Exceeding
-    ``node_limit`` raises :class:`ResourceLimitError` carrying the best
-    incumbent and bound seen so far.
+    Returns an optimal, infeasible or unbounded outcome; "optimal" is within
+    HiGHS's default absolute gap of 1e-6 (see the module docstring).  HiGHS
+    presolve can
+    end in "Solve error" on a model that solves without it (the Blotto best
+    response to the dirac at (0.5, 0.25, 0.25) with c = 1/8 is one), so that
+    status is retried once with presolve off.  Exceeding ``node_limit``
+    raises :class:`ResourceLimitError` carrying the best incumbent (or None)
+    and the proved bound.
     """
     lp = model.lp
-    binaries = model.binary_vars
-    relaxations = _RelaxationSolver(lp)
+    integrality = np.zeros(lp.n_vars)
+    integrality[list(model.binary_vars)] = 1
+    rows = None
+    if lp.n_rows:
+        senses = np.asarray(lp.senses)
+        rows = LinearConstraint(
+            lp.lhs,
+            np.where(senses == LESS_EQUAL, -np.inf, lp.rhs),
+            np.where(senses == GREATER_EQUAL, np.inf, lp.rhs),
+        )
+    options = {"mip_rel_gap": 0.0, "node_limit": node_limit}
 
-    incumbent_x: np.ndarray | None = None
-    incumbent_obj = -math.inf
-    nodes = 0
-    counter = itertools.count()
+    def run(**extra):
+        res = _scipy_milp(
+            -lp.objective,
+            integrality=integrality,
+            bounds=Bounds(lp.lower, lp.upper),
+            constraints=rows,
+            options={**options, **extra},
+        )
+        return res, int(res.mip_node_count or 0)
 
-    # Heap entries: (-parent bound, tiebreak, {var: (lo, hi)} branch fixings).
-    heap: list[tuple[float, int, dict[int, tuple[float, float]]]] = [
-        (-math.inf, next(counter), {})
-    ]
+    res, nodes = run()
+    if res.status == _OTHER and nodes < node_limit:
+        res, nodes = run(presolve=False)
 
-    def current_bound() -> float:
-        open_bound = -heap[0][0] if heap else -math.inf
-        return max(open_bound, incumbent_obj)
-
-    while heap:
-        if incumbent_x is not None and -heap[0][0] <= incumbent_obj + gap_tol:
-            break
-        neg_bound, _, fixings = heapq.heappop(heap)
-        if incumbent_x is not None and -neg_bound <= incumbent_obj + gap_tol:
-            continue
-
-        lo = lp.lower.copy()
-        hi = lp.upper.copy()
-        for j, (lj, hj) in fixings.items():
-            lo[j] = max(lo[j], lj)
-            hi[j] = min(hi[j], hj)
-        if np.any(lo > hi):
-            continue
-        if propagate and not _propagate(
-            lp.lhs, lp.senses, lp.rhs, lo, hi, binaries, int_tol
-        ):
-            continue
-
-        if nodes >= node_limit:
-            raise ResourceLimitError(
-                f"branch-and-bound node limit {node_limit} exceeded "
-                f"(incumbent {incumbent_obj!r}, bound {current_bound()!r})",
-                incumbent=None if incumbent_x is None else incumbent_x.copy(),
-                bound=current_bound(),
-            )
-        nodes += 1
-        relaxation = relaxations.solve(lo, hi)
-        if relaxation.status == "infeasible":
-            continue
-        if relaxation.status == "unbounded":
-            return MilpSolution("unbounded", nodes=nodes, bound=math.inf)
-        obj = relaxation.objective
-        if incumbent_x is not None and obj <= incumbent_obj + gap_tol:
-            continue
-
-        z = relaxation.x[list(binaries)] if binaries else np.zeros(0)
-        frac = np.abs(z - np.round(z))
-        if frac.size == 0 or frac.max() <= int_tol:
-            if obj > incumbent_obj:
-                incumbent_obj = obj
-                incumbent_x = relaxation.x.copy()
-            continue
-
-        branch_var = binaries[int(np.argmax(frac))]
-        for fixed in (0.0, 1.0):
-            child = dict(fixings)
-            child[branch_var] = (fixed, fixed)
-            heapq.heappush(heap, (-obj, next(counter), child))
-
-    bound = current_bound()
-    if incumbent_x is None:
-        return MilpSolution("infeasible", nodes=nodes, bound=bound)
-    return MilpSolution("optimal", incumbent_x, incumbent_obj, nodes=nodes, bound=bound)
+    if res.status == _OPTIMAL:
+        objective = lp.offset - float(res.fun)
+        # A model without binaries is solved as a plain LP, with no MIP bound.
+        dual = res.mip_dual_bound
+        bound = objective if dual is None else lp.offset - float(dual)
+        return MilpSolution("optimal", res.x, objective, nodes=nodes, bound=bound)
+    if res.status == _INFEASIBLE:
+        return MilpSolution("infeasible", nodes=nodes, bound=-math.inf)
+    if res.status == _UNBOUNDED:
+        return MilpSolution("unbounded", nodes=nodes, bound=math.inf)
+    if nodes >= node_limit:
+        bound = lp.offset - float(res.mip_dual_bound)
+        raise ResourceLimitError(
+            f"branch-and-bound node limit {node_limit} exceeded (bound {bound!r})",
+            incumbent=res.x,
+            bound=bound,
+        )
+    raise ModelError(f"HiGHS MILP ended with status {res.status}: {res.message}")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from double_oracle import (
     BlottoGridOracle,
     BlottoMilpOracle,
     DomainError,
+    FiniteMixedStrategy,
+    OracleContractError,
     ParameterError,
     ResourceLimitError,
     allocation,
@@ -19,8 +22,10 @@ from double_oracle import (
     merge_duplicates,
     milp_best_response,
     point,
+    run_double_oracle,
     simplex_grid,
 )
+from double_oracle.blotto import MILP_ACCURACY, game_definition
 
 GAME_8 = BlottoGame(n=3, a=(1.0, 1.0, 1.0), c=0.125)
 GAME_16 = BlottoGame(n=3, a=(1.0, 1.0, 1.0), c=0.0625)
@@ -195,6 +200,55 @@ def test_milp_value_equals_true_utility_off_grid():
         assert true_value(ans.point, mix, GAME_8) == pytest.approx(ans.value, abs=1e-7)
 
 
+def test_milp_value_is_the_utility_of_its_allocation():
+    # On this dirac the MILP objective overstates the allocation's utility
+    # by 1e-6, all of MILP_ACCURACY; the answer must report the utility.
+    opponent = dirac(point(0.25, 0.0625, 0.6875))
+    ans = milp_best_response(opponent, GAME_16)
+    assert ans.value == pytest.approx(true_value(ans.point, opponent, GAME_16), abs=1e-12)
+
+
+def exact_best_value(opponent, game):
+    """Player 1's best-response value by breakpoint-vertex enumeration.
+
+    The utility is separable and piecewise linear, with breakpoints at each
+    opponent coordinate +-c, so a maximizer sits where all but one
+    coordinate is a breakpoint, 0 or 1 and the last one fills the budget.
+    """
+    atoms = np.asarray([a.coords for a in opponent.atoms])
+    weights = np.asarray(opponent.weights)
+    levels = [
+        np.unique(np.clip(np.r_[atoms[:, j] - game.c, atoms[:, j] + game.c, 0.0, 1.0], 0.0, 1.0))
+        for j in range(game.n)
+    ]
+    best = -math.inf
+    for free in range(game.n):
+        others = [j for j in range(game.n) if j != free]
+        for vals in itertools.product(*(levels[j] for j in others)):
+            x = np.empty(game.n)
+            x[others] = vals
+            x[free] = 1.0 - sum(vals)
+            if x[free] >= 0.0:
+                best = max(best, float(blotto_utility(x, atoms, game) @ weights))
+    return best
+
+
+def test_milp_matches_exact_best_response_on_mixed_opponents():
+    # HiGHS stops at its default absolute gap of 1e-6, so this pins the
+    # answers to within MILP_ACCURACY of the true optimum.
+    rng = np.random.default_rng(5)
+    for c in (0.25, 0.125, 0.1):
+        for support in (2, 3, 4):
+            game = BlottoGame(n=3, a=tuple(rng.uniform(0.5, 1.5, 3)), c=c)
+            mix = FiniteMixedStrategy(
+                tuple(point(*p) for p in rng.dirichlet(np.ones(3), size=support)),
+                tuple(rng.dirichlet(np.ones(support))),
+            )
+            exact = exact_best_value(mix, game)
+            ans = milp_best_response(mix, game)
+            assert exact - MILP_ACCURACY <= ans.value <= exact + 1e-12
+
+
 def test_enumeration_prefers_lexicographically_smallest():
     opp = dirac(point(0.375, 0.375, 0.25))
     ans = grid_enumeration_best_response(opp, GAME_8)
@@ -238,6 +292,39 @@ def test_milp_oracle_player2_mirrors_player1():
         for a, w in zip(mix.atoms, mix.weights)
     )
     assert got == pytest.approx(ans2.value, abs=1e-7)
+
+
+def test_milp_oracle_double_oracle_closes_at_zero_epsilon():
+    # The lattice holds an equilibrium of this game, so the first subgame is
+    # already solved and exact oracle values close the gap to zero.
+    game = BlottoGame(n=3, a=(1.0, 1.0, 1.0), c=0.5)
+    lattice = simplex_grid(3, 0.25)
+    res = run_double_oracle(
+        game_definition(game),
+        BlottoMilpOracle(game, player=1),
+        BlottoMilpOracle(game, player=2),
+        lattice,
+        lattice,
+        epsilon=0.0,
+        max_iters=15,
+    )
+    assert res.terminated_by == "gap"
+    assert res.iterations == 1
+    assert res.gap <= 1e-9
+
+
+def test_grid_oracle_rejects_off_grid_start():
+    # The first subgame guarantees 0.92, but the best grid response earns
+    # only 0.8, so the grid oracle's accuracy of 0.0 does not hold here.
+    game = BlottoGame(n=3, a=(1.0, 1.0, 1.0), c=0.25)
+    with pytest.raises(OracleContractError, match="player 1"):
+        run_double_oracle(
+            game_definition(game),
+            BlottoGridOracle(game, 1),
+            BlottoGridOracle(game, 2),
+            [point(0.44, 0.54, 0.02)],
+            [point(0.2, 0.3, 0.5)],
+        )
 
 
 def test_grid_oracle_agrees_with_enumeration():

@@ -201,6 +201,15 @@ def test_non_lattice_margin_rejected_for_grid_modes(tmp_path, capsys):
     assert "1/c is not integral" in capsys.readouterr().err
 
 
+def test_enumeration_oracle_rejects_random_init(tmp_path, capsys):
+    code = run_cli(
+        "run", "--game", "blotto", "--c", "0.25", "--oracle", "enumeration",
+        "--init", "random", "--outdir", str(tmp_path),
+    )
+    assert code == 1
+    assert "init: random starting points leave the allocation lattice" in capsys.readouterr().err
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")

@@ -132,6 +132,19 @@ def test_lying_oracle_is_caught():
         run_double_oracle(game, Liar(), o2, [point(0.0)], [point(0.0)])
 
 
+def test_value_lying_oracle_is_caught():
+    game, o1, o2 = polynomial_setup(1e-2)
+
+    class ValueLiar:
+        accuracy = 0.0
+
+        def respond(self, opponent):
+            return OracleAnswer(point(0.5), -5.0)
+
+    with pytest.raises(OracleContractError, match="player 1"):
+        run_double_oracle(game, ValueLiar(), o2, [point(0.0)], [point(0.0)])
+
+
 def test_streaming_callback_sees_every_record():
     game, o1, o2 = polynomial_setup(1e-3)
     seen = []

@@ -1,9 +1,17 @@
+"""LinearProgram models without binary variables, solved through solve_milp.
+
+These check the translation of the maximization form (senses, general and
+free bounds, offsets) into HiGHS, and the statuses that come back.
+"""
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from hypothesis.extra import numpy as hnp
 
-from double_oracle import LinearProgram, ModelError, solve_lp
+from double_oracle import LinearProgram, MilpModel, ModelError, solve_milp
+
+
+def solve_continuous(lp):
+    return solve_milp(MilpModel(lp, ()))
 
 
 def feasibility_violation(lp, x):
@@ -23,7 +31,7 @@ def feasibility_violation(lp, x):
 
 
 def test_two_variable_box():
-    sol = solve_lp(
+    sol = solve_continuous(
         LinearProgram(
             objective=[1.0, 1.0],
             lhs=[[1.0, 0.0], [0.0, 1.0]],
@@ -38,20 +46,20 @@ def test_two_variable_box():
 
 def test_conflicting_row_is_infeasible():
     # x >= 0 by default, so x <= -1 cannot hold
-    sol = solve_lp(LinearProgram([1.0], [[1.0]], ("<=",), [-1.0]))
+    sol = solve_continuous(LinearProgram([1.0], [[1.0]], ("<=",), [-1.0]))
     assert sol.status == "infeasible"
     assert sol.x is None
 
 
 def test_missing_upper_bound_is_unbounded():
-    sol = solve_lp(LinearProgram([1.0], [[1.0]], (">=",), [2.0]))
+    sol = solve_continuous(LinearProgram([1.0], [[1.0]], (">=",), [2.0]))
     assert sol.status == "unbounded"
 
 
 def test_no_constraints_at_all():
-    sol = solve_lp(LinearProgram([1.0], np.zeros((0, 1)), (), []))
+    sol = solve_continuous(LinearProgram([1.0], np.zeros((0, 1)), (), []))
     assert sol.status == "unbounded"
-    capped = solve_lp(LinearProgram([1.0], np.zeros((0, 1)), (), [], upper=[4.0]))
+    capped = solve_continuous(LinearProgram([1.0], np.zeros((0, 1)), (), [], upper=[4.0]))
     assert capped.status == "optimal"
     assert capped.objective == pytest.approx(4.0)
 
@@ -60,7 +68,7 @@ def test_matching_pennies_row_program():
     # reciprocal program for the +2-shifted matrix [[3, 1], [1, 3]]:
     # max -sum(p') subject to S^T p' >= 1; the shifted value is 1/sum(p')
     shifted = np.array([[3.0, 1.0], [1.0, 3.0]])
-    sol = solve_lp(
+    sol = solve_continuous(
         LinearProgram(
             objective=[-1.0, -1.0],
             lhs=shifted.T,
@@ -75,7 +83,7 @@ def test_matching_pennies_row_program():
 
 
 def test_equality_row():
-    sol = solve_lp(
+    sol = solve_continuous(
         LinearProgram([1.0, 1.0], [[1.0, 1.0]], ("=",), [1.0])
     )
     assert sol.status == "optimal"
@@ -84,7 +92,7 @@ def test_equality_row():
 
 def test_offset_and_general_bounds():
     # max 2x + y + 10 over x in [1, 3], y in [-2, -1]
-    sol = solve_lp(
+    sol = solve_continuous(
         LinearProgram(
             objective=[2.0, 1.0],
             lhs=np.zeros((0, 2)),
@@ -101,7 +109,7 @@ def test_offset_and_general_bounds():
 
 
 def test_negative_objective_on_negative_box():
-    sol = solve_lp(
+    sol = solve_continuous(
         LinearProgram([-1.0], np.zeros((0, 1)), (), [], lower=[-5.0], upper=[-2.0])
     )
     assert sol.objective == pytest.approx(5.0, abs=1e-9)
@@ -109,7 +117,7 @@ def test_negative_objective_on_negative_box():
 
 
 def test_fixed_variable():
-    sol = solve_lp(
+    sol = solve_continuous(
         LinearProgram([1.0], np.zeros((0, 1)), (), [], lower=[2.0], upper=[2.0])
     )
     assert sol.status == "optimal"
@@ -118,7 +126,7 @@ def test_fixed_variable():
 
 def test_free_variable_hits_lower_constraint():
     # max -x with x free but constrained to x >= -3
-    sol = solve_lp(
+    sol = solve_continuous(
         LinearProgram([-1.0], [[1.0]], (">=",), [-3.0], lower=[-np.inf])
     )
     assert sol.status == "optimal"
@@ -137,7 +145,7 @@ def test_beale_degenerate_program_terminates():
         senses=("<=", "<=", "<="),
         rhs=[0.0, 0.0, 1.0],
     )
-    sol = solve_lp(lp)
+    sol = solve_continuous(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.05, abs=1e-9)
     np.testing.assert_allclose(sol.x, [0.04, 0.0, 1.0, 0.0], atol=1e-9)
@@ -168,8 +176,8 @@ def test_strong_duality_on_random_programs():
         b = np.concatenate([rng.uniform(0.5, 2.0, size=5), [10.0]])
         c = rng.uniform(-1.0, 1.0, size=8)
 
-        primal = solve_lp(LinearProgram(c, A, ("<=",) * 6, b))
-        dual = solve_lp(LinearProgram(-b, -A.T, ("<=",) * 8, -c))
+        primal = solve_continuous(LinearProgram(c, A, ("<=",) * 6, b))
+        dual = solve_continuous(LinearProgram(-b, -A.T, ("<=",) * 8, -c))
 
         assert primal.status == "optimal"
         assert dual.status == "optimal"
@@ -178,14 +186,3 @@ def test_strong_duality_on_random_programs():
         assert feasibility_violation(primal_lp, primal.x) <= 1e-8
         assert primal.objective == pytest.approx(float(c @ primal.x), abs=1e-8)
 
-
-@given(
-    c=hnp.arrays(np.float64, 4, elements=st.floats(-10.0, 10.0)),
-    u=hnp.arrays(np.float64, 4, elements=st.floats(0.1, 5.0)),
-)
-def test_pure_box_optimum_is_analytic(c, u):
-    # with only bounds, each coordinate optimizes independently
-    sol = solve_lp(LinearProgram(c, np.zeros((0, 4)), (), [], upper=u))
-    assert sol.status == "optimal"
-    want = float(np.sum(np.where(c > 0, c * u, 0.0)))
-    assert sol.objective == pytest.approx(want, abs=1e-9)

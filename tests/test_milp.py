@@ -7,10 +7,12 @@ from double_oracle import (
     MilpModel,
     ModelError,
     ResourceLimitError,
+    blotto_utility,
     build_best_response_milp,
     dirac,
+    merge_duplicates,
+    milp_best_response,
     point,
-    solve_lp,
     solve_milp,
 )
 
@@ -61,7 +63,7 @@ def test_milp_never_beats_its_relaxation():
             rhs=rng.uniform(1.0, 2.0, 3),
             upper=np.ones(n),
         )
-        relaxed = solve_lp(lp)
+        relaxed = solve_milp(MilpModel(lp, ()))
         mixed = solve_milp(MilpModel(lp, (0, 2, 4)))
         assert relaxed.status == "optimal"
         assert mixed.status == "optimal"
@@ -82,18 +84,27 @@ def test_integral_relaxation_needs_one_node():
         rhs=[1.0, 1.0],
         upper=[1.0, 1.0],
     )
-    sol = solve_milp(MilpModel(lp, (0, 1)), propagate=False)
+    sol = solve_milp(MilpModel(lp, (0, 1)))
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
-    assert sol.nodes == 1
+    assert sol.nodes <= 1
 
 
 def test_node_limit_raises_with_partial_progress():
-    model = binary_knapsack([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 1.5)
+    # HiGHS closes small knapsacks at the root, so use a Blotto best
+    # response that needs branching.
+    game = BlottoGame(n=3, a=(1.0, 1.0, 1.0), c=0.0625)
+    mix = merge_duplicates(
+        [point(0.7, 0.2, 0.1), point(0.15, 0.35, 0.5)], [0.4, 0.6]
+    )
+    model = build_best_response_milp(mix, game)
+    optimum = solve_milp(model).objective
     with pytest.raises(ResourceLimitError) as err:
-        solve_milp(model, node_limit=1, propagate=False)
+        solve_milp(model, node_limit=1)
     assert "node limit" in str(err.value)
-    assert err.value.incumbent is None
-    assert err.value.bound >= 1.0 - 1e-9  # never below the true optimum
+    assert err.value.bound >= optimum - 1e-9  # never below the true optimum
+    if err.value.incumbent is not None:
+        z = err.value.incumbent[list(model.binary_vars)]
+        assert np.all(np.minimum(z, 1.0 - z) <= 1e-6)
 
 
 def test_infeasible_binary_row():
@@ -109,18 +120,6 @@ def test_unbounded_continuous_part():
     assert sol.status == "unbounded"
 
 
-def test_propagation_matches_plain_search():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        values = rng.uniform(0.5, 3.0, 6)
-        weights = rng.uniform(0.2, 1.0, 6)
-        cap = float(weights.sum()) * 0.4
-        model = binary_knapsack(values, weights, cap)
-        fast = solve_milp(model, propagate=True)
-        slow = solve_milp(model, propagate=False)
-        assert fast.objective == pytest.approx(slow.objective, abs=1e-8)
-
-
 def test_model_validation():
     lp = LinearProgram([1.0, 1.0], [[1.0, 1.0]], ("<=",), [1.0], upper=[1.0, 2.0])
     with pytest.raises(ModelError, match="duplicate"):
@@ -129,3 +128,14 @@ def test_model_validation():
         MilpModel(lp, (5,))
     with pytest.raises(ModelError, match="within"):
         MilpModel(lp, (1,))  # upper bound 2 is not a binary relaxation
+
+
+def test_presolve_failure_is_retried():
+    # HiGHS presolve ends this model in "Solve error"; without presolve it
+    # solves.  Winning two fields outright against (0.5, 0.25, 0.25) pays 1.
+    game = BlottoGame(n=3, a=(1.0, 1.0, 1.0), c=0.125)
+    opponent = dirac(point(0.5, 0.25, 0.25))
+    ans = milp_best_response(opponent, game)
+    assert ans.value == pytest.approx(1.0, abs=1e-9)
+    paid = blotto_utility(np.asarray(ans.point.coords), opponent.atoms[0].array(), game)
+    assert float(paid) == ans.value
