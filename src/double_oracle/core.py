@@ -7,8 +7,10 @@ Conventions used throughout the package:
   whose trailing axis is the coordinate dimension of the respective player,
   broadcasts over any leading axes, and returns an array of the broadcast
   shape.  Player 1 maximizes ``utility``, player 2 minimizes it.
-* Mixed strategies are finitely supported; two atoms closer than
-  :data:`MERGE_TOL` in max-norm count as the same point.
+* Mixed strategies are finitely supported over distinct atoms; only exact
+  duplicates (equal ``coords``) are folded together.  The solvers suppress
+  near-duplicates themselves: a new strategy within :data:`MERGE_TOL` in
+  max-norm of one they already hold is not added again.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 
 from .errors import DomainError, InvalidStrategyError, ParameterError
 
-# Max-norm distance below which two atoms are considered identical.
+# Max-norm distance within which the solvers (the engine's strategy sets and
+# fictitious play's history) treat a new strategy as one they already hold.
+# Mixtures do not use it: they fold and reject exact duplicates only.
 MERGE_TOL = 1e-9
 # Allowed deviation of total probability mass from 1.
 WEIGHT_SUM_TOL = 1e-9
@@ -192,8 +196,8 @@ class FiniteMixedStrategy:
 
     Invariants enforced at construction: at least one atom, weights
     nonnegative and summing to 1 within :data:`WEIGHT_SUM_TOL`, all atoms of
-    equal dimension and pairwise farther than :data:`MERGE_TOL` apart in
-    max-norm.  Use :func:`merge_duplicates` to build one from raw lists.
+    equal dimension and pairwise distinct.  Use :func:`merge_duplicates` to
+    build one from raw lists.
     """
 
     atoms: tuple[StrategyPoint, ...]
@@ -216,12 +220,8 @@ class FiniteMixedStrategy:
         dims = {a.dim for a in atoms}
         if len(dims) != 1:
             raise InvalidStrategyError(f"atoms of mixed dimension: {sorted(dims)}")
-        if len(atoms) > 1:
-            arr = np.asarray([a.coords for a in atoms])
-            dist = np.abs(arr[:, None, :] - arr[None, :, :]).max(axis=-1)
-            np.fill_diagonal(dist, np.inf)
-            if dist.min() <= MERGE_TOL:
-                raise InvalidStrategyError("atoms closer than the merge tolerance")
+        if len(set(atoms)) != len(atoms):
+            raise InvalidStrategyError("duplicate atoms in a mixed strategy")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
@@ -244,10 +244,10 @@ def dirac(pt: StrategyPoint) -> FiniteMixedStrategy:
 def merge_duplicates(
     atoms: Sequence[StrategyPoint], weights: Sequence[float]
 ) -> FiniteMixedStrategy:
-    """Combine near-duplicate atoms and renormalize into a valid mixture.
+    """Combine duplicate atoms and renormalize into a valid mixture.
 
-    Atoms within :data:`MERGE_TOL` (max-norm) of an earlier atom are folded
-    into it, summing their weights; the earlier coordinates are kept.  Atoms
+    An atom whose ``coords`` equal an earlier atom's is folded into it,
+    summing their weights; atoms that differ at all stay apart.  Atoms
     with zero weight are dropped.  Weights must be nonnegative (tiny negative
     float noise up to 1e-12 is clipped) with positive total; the result is
     renormalized to sum to 1.
@@ -264,25 +264,13 @@ def merge_duplicates(
     if w.sum() <= 0.0:
         raise InvalidStrategyError("total weight must be positive")
 
-    reps: list[StrategyPoint] = []
-    rep_arr: list[np.ndarray] = []
-    acc: list[float] = []
+    # Points hash and compare by their coords; the first of equal keys stays.
+    acc: dict[StrategyPoint, float] = {}
     for atom, wi in zip(atoms, w):
-        if wi == 0.0:
-            continue
-        arr = atom.array()
-        merged = False
-        for k, other in enumerate(rep_arr):
-            if other.shape == arr.shape and np.abs(other - arr).max() <= MERGE_TOL:
-                acc[k] += wi
-                merged = True
-                break
-        if not merged:
-            reps.append(atom)
-            rep_arr.append(arr)
-            acc.append(float(wi))
-    total = math.fsum(acc)
-    return FiniteMixedStrategy(tuple(reps), tuple(a / total for a in acc))
+        if wi > 0.0:
+            acc[atom] = acc.get(atom, 0.0) + float(wi)
+    total = math.fsum(acc.values())
+    return FiniteMixedStrategy(tuple(acc), tuple(a / total for a in acc.values()))
 
 
 def require_in_space(space: StrategySpace, pt: StrategyPoint, label: str) -> None:

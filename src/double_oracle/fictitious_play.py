@@ -22,7 +22,6 @@ from .core import (
     GameDefinition,
     StrategyPoint,
     expected_utility,
-    merge_duplicates,
     require_in_space,
 )
 from .errors import ParameterError
@@ -50,7 +49,10 @@ class _Empirical:
         self.total += 1
 
     def mixture(self) -> FiniteMixedStrategy:
-        return merge_duplicates(self.reps, self.counts)
+        # ``add`` keeps the representatives MERGE_TOL apart, so no re-merge.
+        return FiniteMixedStrategy(
+            tuple(self.reps), tuple(c / self.total for c in self.counts)
+        )
 
 
 @dataclass

@@ -23,8 +23,6 @@ from .core import (
 )
 from .errors import ModelError
 
-# |max_i (Aq)_i - value| and |min_j (p^T A)_j - value| for returned equilibria.
-CERTIFICATE_TOL = 1e-7
 # Certificate residual above which solve_zero_sum raises.  The engine gives
 # an oracle value the same slack against the subgame value.
 VALUE_TOL = 1e-6
@@ -118,9 +116,8 @@ def solve_zero_sum(
 
     The output satisfies the minimax certificate
     ``max_i (A q*)_i = value = min_j (p*^T A)_j`` within
-    :data:`CERTIFICATE_TOL`; a violation beyond :data:`VALUE_TOL` raises
-    :class:`ModelError`, and so does an LP that HiGHS does not solve to
-    optimality.
+    :data:`VALUE_TOL`; a violation raises :class:`ModelError`, and so does an
+    LP that HiGHS does not solve to optimality.
     """
     A = mg.payoff
     m, k = A.shape

@@ -89,9 +89,12 @@ class GridSearchOracle:
     ``L * resolution / 2``; without one the answer is only guaranteed optimal
     over the grid itself and the accuracy is reported as 0.
 
-    Payoff columns are cached per opponent atom, so repeated queries against
-    growing mixtures (as produced by the solvers here) cost one new column
-    each.
+    A query against a ``k``-atom mixture costs one grid-length pass per
+    atom: it adds ``weight * column`` into one value vector, in the query's
+    atom order, so the answer does not depend on earlier queries.  Payoff
+    columns are cached per distinct opponent atom (memory: one grid-length
+    column each), so repeated queries against growing mixtures (as produced
+    by the solvers here) evaluate the utility only on new atoms.
     """
 
     def __init__(
@@ -129,8 +132,9 @@ class GridSearchOracle:
         return cached
 
     def respond(self, opponent: FiniteMixedStrategy) -> OracleAnswer:
-        table = np.column_stack([self._column(a) for a in opponent.atoms])
-        values = table @ opponent.weights_array()
+        values = np.zeros(self._grid.size)
+        for atom, weight in zip(opponent.atoms, opponent.weights):
+            values += weight * self._column(atom)
         idx = int(np.argmax(values)) if self.player == 1 else int(np.argmin(values))
         return OracleAnswer(StrategyPoint((float(self._grid[idx]),)), float(values[idx]))
 

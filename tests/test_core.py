@@ -134,8 +134,7 @@ def test_mixture_invariants_enforced():
     with pytest.raises(InvalidStrategyError):
         FiniteMixedStrategy((point(0.0), point(0.0, 1.0)), (0.5, 0.5))
     with pytest.raises(InvalidStrategyError):
-        # closer than the merge tolerance
-        FiniteMixedStrategy((point(0.0), point(1e-12)), (0.5, 0.5))
+        FiniteMixedStrategy((point(0.0), point(0.0)), (0.5, 0.5))
 
 
 def test_dirac_and_support_size():
@@ -156,10 +155,11 @@ def test_merge_keeps_distinct_atoms():
     assert m.weights == (0.2, 0.8)
 
 
-def test_merge_folds_within_tolerance():
+def test_merge_keeps_near_duplicates_apart():
+    # only exact duplicates fold; the solvers suppress near-duplicates
     m = merge_duplicates([point(0.0), point(1e-12)], [0.5, 0.5])
-    assert m.support_size == 1
-    assert m.atoms[0].coords == (0.0,)  # first occurrence wins
+    assert m.atoms == (point(0.0), point(1e-12))
+    assert m.weights == (0.5, 0.5)
 
 
 def test_merge_drops_zero_weights_and_renormalizes():

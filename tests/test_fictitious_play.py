@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from double_oracle import (
@@ -7,6 +8,7 @@ from double_oracle import (
     ParameterError,
     expected_utility,
     make_polynomial_game,
+    merge_duplicates,
     embed_matrix_game,
     point,
     run_fictitious_play,
@@ -57,6 +59,21 @@ def test_returned_mixtures_match_last_row():
         last.size_x,
         last.size_y,
     )
+
+
+def test_empirical_mixtures_are_the_merged_history():
+    game = make_polynomial_game()
+    o1 = GridSearchOracle(game, 1, 1e-3, POLYNOMIAL_LIPSCHITZ)
+    o2 = GridSearchOracle(game, 2, 1e-3, POLYNOMIAL_LIPSCHITZ)
+    res = run_fictitious_play(game, o1, o2, point(0.1), point(-0.3), iters=60)
+    # the responses of the last round are not appended
+    history1 = [point(0.1)] + [rec.added_x for rec in res.trace[:-1]]
+    history2 = [point(-0.3)] + [rec.added_y for rec in res.trace[:-1]]
+    assert res.empirical2.support_size < len(history2)  # repeated responses fold
+    for got, history in ((res.empirical1, history1), (res.empirical2, history2)):
+        want = merge_duplicates(history, np.ones(len(history)))
+        assert got.atoms == want.atoms
+        assert np.abs(np.subtract(got.weights, want.weights)).max() <= 1e-15
 
 
 def test_bounds_bracket_polynomial_value():

@@ -134,6 +134,31 @@ def test_grid_value_within_declared_accuracy(w, y1, y2):
     assert ans.value >= exact - accuracy - 1e-9
 
 
+@pytest.mark.parametrize("player", [1, 2])
+def test_oracle_answers_do_not_depend_on_earlier_queries(player):
+    game = make_townsend_game()
+    opponent_space = game.space2 if player == 1 else game.space1
+    rng = np.random.default_rng(11)
+    pool = [opponent_space.sample(rng) for _ in range(6)]
+    queries = [
+        merge_duplicates([pool[i] for i in rng.permutation(6)[:4]], rng.dirichlet(np.ones(4)))
+        for _ in range(5)
+    ]
+
+    def make():
+        return GridSearchOracle(game, player, 1e-3, TOWNSEND_LIPSCHITZ)
+
+    def bits(ans):
+        return ans.point.coords, ans.value.hex()
+
+    fresh = [bits(make().respond(q)) for q in queries]
+    warm = make()
+    # the shared atoms enter the cache in another order than the queries list them
+    backwards = [bits(warm.respond(q)) for q in reversed(queries)]
+    assert backwards[::-1] == fresh
+    assert [bits(warm.respond(q)) for q in queries] == fresh
+
+
 def test_accuracy_attribute():
     game = make_polynomial_game()
     assert GridSearchOracle(game, 1, 1e-4, POLYNOMIAL_LIPSCHITZ).accuracy == pytest.approx(8e-4)
