@@ -47,7 +47,7 @@ from .matrix_game import (
     solve_zero_sum,
     subgame_matrix,
 )
-from .milp import LinearProgram, MilpModel, MilpSolution, solve_milp
+from .milp import MilpModel, MilpSolution, solve_milp
 from .one_dim import (
     GridSearchOracle,
     duplicate_first_axis,
@@ -75,7 +75,6 @@ __all__ = [
     "IntervalUnion",
     "InvalidStrategyError",
     "IterationRecord",
-    "LinearProgram",
     "MatrixGame",
     "MilpModel",
     "MilpSolution",

@@ -12,11 +12,13 @@ Best responses against a finite opponent mixture come in two flavors:
   ``l(z) = max(z/c + 1, 0) - max(z/c - 1, 0) - 1`` and linearizing each of
   the two hinge terms with one continuous variable, one indicator binary, and
   four linear constraints (big-M constants ``1/c - 1`` and ``1/c + 1``, which
-  are tight for unit budgets).  HiGHS solves it (see :mod:`.milp`), and the
-  answer's value is the utility of the returned allocation, recomputed from
-  the game rather than read off the MILP objective;
+  are tight for unit budgets).  :func:`build_best_response_milp` fills the
+  rows and their bounds block by block, directly in the form HiGHS takes
+  (see :mod:`.milp`), and the answer's value is the utility of the returned
+  allocation, recomputed from the game rather than read off the MILP
+  objective;
 * exhaustive enumeration over the grid of allocations in multiples of a grid
-  spacing ``c``.
+  spacing ``c``: a :class:`FinitePointOracle` over :func:`simplex_grid`.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .core import (
     Simplex,
     StrategyPoint,
 )
-from .errors import DomainError, ModelError, ParameterError, ResourceLimitError
-from .milp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, MilpModel, solve_milp
-from .oracles import OracleAnswer, best_over_points
+from .errors import DomainError, ParameterError, ResourceLimitError
+from .milp import MilpModel, solve_milp
+from .oracles import FinitePointOracle, OracleAnswer
 
 MILP_ACCURACY = 1e-6
 ENUMERATION_LIMIT = 10**6
@@ -158,106 +160,73 @@ def build_best_response_milp(
     """MILP whose optimum is player 1's exact best response to ``opponent``.
 
     Variable layout: allocations ``x`` (n), then per opponent-atom/battlefield
-    pair the hinge variables ``s`` (kn) and ``t`` (kn) and their indicator
-    binaries ``z`` (kn) and ``w`` (kn).  At any feasible integral point,
-    ``s - t - 1`` equals the contest score of the pair, so the objective is
-    the true expected utility of ``x``.
+    pair ``i * n + j`` the hinge variables ``s`` (kn) and ``t`` (kn) and their
+    indicator binaries ``z`` (kn) and ``w`` (kn).  Row 0 spends the budget;
+    each pair then owns six consecutive rows, in this order::
+
+        s - x_j/c                 >= 1 - y_ij/c
+        s - x_j/c + (1/c - 1) z   <= 1/c - y_ij/c
+        s         - (1/c + 1) z   <= 0
+        t - x_j/c                 >= -1 - y_ij/c
+        t - x_j/c + (1/c + 1) w   <= 1/c - y_ij/c
+        t         - (1/c - 1) w   <= 0
+
+    At any feasible integral point ``s - t - 1`` equals the contest score of
+    the pair, so the objective is the true expected utility of ``x``.
     """
     atoms, weights = _opponent_matrix(opponent, game)
-    k = atoms.shape[0]
-    n = game.n
-    c = game.c
-    inv = 1.0 / c
+    k, n = atoms.shape
+    kn = k * n
+    inv = 1.0 / game.c
     m_narrow = inv - 1.0  # bounds the inactive side of the s-hinge, active of t
     m_wide = inv + 1.0
+    y = atoms.ravel()
+    lift = 1.0 - y * inv  # (x - y + c)/c evaluated at x = 0
+    drop = -1.0 - y * inv  # (x - y - c)/c evaluated at x = 0
 
-    kn = k * n
+    pair = np.arange(kn)
+    x = np.tile(np.arange(n), k)  # the allocation column of each pair
+    s, t, z, w = (n + block * kn + pair for block in range(4))
     nvars = n + 4 * kn
-    x_at = 0
-    s_at = n
-    t_at = n + kn
-    z_at = n + 2 * kn
-    w_at = n + 3 * kn
 
     objective = np.zeros(nvars)
     coef = np.outer(weights, np.asarray(game.a)).ravel()
-    objective[s_at : s_at + kn] = coef
-    objective[t_at : t_at + kn] = -coef
-    offset = -float(np.sum(game.a))
-
-    lower = np.zeros(nvars)
-    upper = np.full(nvars, np.inf)
-    upper[x_at:n] = 1.0
-    upper[z_at:] = 1.0  # covers both binary blocks
+    objective[s] = coef
+    objective[t] = -coef
 
     rows = np.zeros((1 + 6 * kn, nvars))
-    rhs = np.zeros(1 + 6 * kn)
-    senses: list[str] = []
+    rows[0, :n] = 1.0
+    first = 1 + 6 * pair
+    for q, var, value in (
+        (0, s, 1.0), (0, x, -inv),
+        (1, s, 1.0), (1, x, -inv), (1, z, m_narrow),
+        (2, s, 1.0), (2, z, -m_wide),
+        (3, t, 1.0), (3, x, -inv),
+        (4, t, 1.0), (4, x, -inv), (4, w, m_wide),
+        (5, t, 1.0), (5, w, -m_narrow),
+    ):
+        rows[first + q, var] = value
+    row_lower = np.full((kn, 6), -np.inf)
+    row_upper = np.full((kn, 6), np.inf)
+    row_lower[:, 0] = lift
+    row_upper[:, 1] = lift + m_narrow
+    row_upper[:, 2] = 0.0
+    row_lower[:, 3] = drop
+    row_upper[:, 4] = drop + m_wide
+    row_upper[:, 5] = 0.0
 
-    rows[0, x_at:n] = 1.0
-    rhs[0] = 1.0
-    senses.append(EQUAL)
-
-    r = 1
-    for i in range(k):
-        for j in range(n):
-            pair = i * n + j
-            s = s_at + pair
-            t = t_at + pair
-            z = z_at + pair
-            w = w_at + pair
-            y = atoms[i, j]
-            lift = 1.0 - y * inv  # (x - y + c)/c evaluated at x = 0
-            drop = -1.0 - y * inv  # (x - y - c)/c evaluated at x = 0
-
-            rows[r, s] = 1.0
-            rows[r, x_at + j] = -inv
-            rhs[r] = lift
-            senses.append(GREATER_EQUAL)
-            r += 1
-
-            rows[r, s] = 1.0
-            rows[r, x_at + j] = -inv
-            rows[r, z] = m_narrow
-            rhs[r] = lift + m_narrow
-            senses.append(LESS_EQUAL)
-            r += 1
-
-            rows[r, s] = 1.0
-            rows[r, z] = -m_wide
-            rhs[r] = 0.0
-            senses.append(LESS_EQUAL)
-            r += 1
-
-            rows[r, t] = 1.0
-            rows[r, x_at + j] = -inv
-            rhs[r] = drop
-            senses.append(GREATER_EQUAL)
-            r += 1
-
-            rows[r, t] = 1.0
-            rows[r, x_at + j] = -inv
-            rows[r, w] = m_wide
-            rhs[r] = drop + m_wide
-            senses.append(LESS_EQUAL)
-            r += 1
-
-            rows[r, t] = 1.0
-            rows[r, w] = -m_narrow
-            rhs[r] = 0.0
-            senses.append(LESS_EQUAL)
-            r += 1
-
-    lp = LinearProgram(
+    upper = np.full(nvars, np.inf)
+    upper[:n] = 1.0
+    upper[n + 2 * kn :] = 1.0  # covers both binary blocks
+    return MilpModel(
         objective=objective,
-        lhs=rows,
-        senses=tuple(senses),
-        rhs=rhs,
-        lower=lower,
+        rows=rows,
+        row_lower=np.concatenate(([1.0], row_lower.ravel())),
+        row_upper=np.concatenate(([1.0], row_upper.ravel())),
         upper=upper,
-        offset=offset,
+        binary=np.arange(nvars) >= n + 2 * kn,
+        offset=-float(np.sum(game.a)),
     )
-    return MilpModel(lp, tuple(range(z_at, nvars)))
 
 
 def milp_best_response(
@@ -275,8 +244,6 @@ def milp_best_response(
     atoms, weights = _opponent_matrix(opponent, game)
     model = build_best_response_milp(opponent, game)
     solution = solve_milp(model, **milp_options)
-    if solution.status != "optimal":
-        raise ModelError(f"best-response MILP ended {solution.status}")
     x = np.clip(solution.x[: game.n], 0.0, None)
     x /= x.sum()
     value = float(blotto_utility(x, atoms, game) @ weights)
@@ -294,13 +261,7 @@ def grid_enumeration_best_response(
     the lexicographically smallest allocation.  Grids over
     :data:`ENUMERATION_LIMIT` points raise :class:`ResourceLimitError`.
     """
-    spacing = game.c if grid_c is None else grid_c
-    points = simplex_grid(game.n, spacing)
-    candidates = np.asarray([p.coords for p in points])
-    idx, value = best_over_points(
-        candidates, opponent, game_definition(game), player=1
-    )
-    return OracleAnswer(points[idx], value)
+    return BlottoGridOracle(game, 1, grid_c).respond(opponent)
 
 
 class BlottoMilpOracle:
@@ -332,25 +293,16 @@ class BlottoMilpOracle:
         return OracleAnswer(answer.point, -answer.value)
 
 
-class BlottoGridOracle:
+class BlottoGridOracle(FinitePointOracle):
     """Enumeration best responses for either player over a fixed grid.
 
-    The declared accuracy of 0.0 holds on the grid only.  Start double oracle
-    from grid points: an off-grid subgame strategy can beat every grid
-    response, and the engine then raises :class:`OracleContractError`.
+    A :class:`FinitePointOracle` over :func:`simplex_grid` with spacing
+    ``grid_c`` (default: the game's margin ``c``).  The declared accuracy of
+    0.0 holds on the grid only.  Start double oracle from grid points: an
+    off-grid subgame strategy can beat every grid response, and the engine
+    then raises :class:`OracleContractError`.
     """
 
     def __init__(self, game: BlottoGame, player: int, grid_c: float | None = None):
-        if player not in (1, 2):
-            raise ParameterError(f"player must be 1 or 2, got {player!r}")
-        self.game = game
-        self.player = player
-        self.spacing = game.c if grid_c is None else grid_c
-        self.points = simplex_grid(game.n, self.spacing)
-        self._arr = np.asarray([p.coords for p in self.points])
-        self._definition = game_definition(game)
-        self.accuracy = 0.0
-
-    def respond(self, opponent: FiniteMixedStrategy) -> OracleAnswer:
-        idx, value = best_over_points(self._arr, opponent, self._definition, self.player)
-        return OracleAnswer(self.points[idx], value)
+        spacing = game.c if grid_c is None else grid_c
+        super().__init__(game_definition(game), player, simplex_grid(game.n, spacing))

@@ -97,27 +97,48 @@ def _merged_point_list(
     return out
 
 
-def _absorb(points: list[StrategyPoint], candidate: StrategyPoint) -> bool:
-    """Append ``candidate`` unless a point within MERGE_TOL already exists."""
-    arr = candidate.array()
-    for existing in points:
-        if np.abs(existing.array() - arr).max() <= MERGE_TOL:
-            return False
+def _absorb(points: list[StrategyPoint], candidate: StrategyPoint) -> int:
+    """Index of the first held point within MERGE_TOL of ``candidate``.
+
+    When no held point is that close, ``candidate`` is appended and its own
+    index returned.
+    """
+    if points:
+        held = np.array([p.coords for p in points])
+        near = np.flatnonzero(np.abs(held - candidate.array()).max(axis=1) <= MERGE_TOL)
+        if near.size:
+            return int(near[0])
     points.append(candidate)
-    return True
+    return len(points) - 1
 
 
 def _checked_answer(
     oracle: BestResponseOracle,
     opponent: FiniteMixedStrategy,
-    space,
+    game: GameDefinition,
     player: int,
 ) -> OracleAnswer:
+    """Ask ``oracle`` for a best response and check the answer it gives.
+
+    The point must lie in the player's space, and the reported value must
+    match the point's payoff against ``opponent``, recomputed from the game
+    (one utility evaluation per opponent atom), within :data:`VALUE_TOL`.
+    """
     answer = oracle.respond(opponent)
+    space = game.space1 if player == 1 else game.space2
     if not space.contains(answer.point):
         raise OracleContractError(
             f"player {player} oracle returned {answer.point.coords}, "
             f"which is outside {space}"
+        )
+    mine = answer.point.array()[None, :]
+    atoms = opponent.atoms_array()
+    payoffs = game.utility(mine, atoms) if player == 1 else game.utility(atoms, mine)
+    earned = float(np.asarray(payoffs, dtype=float) @ opponent.weights_array())
+    if abs(earned - answer.value) > VALUE_TOL:
+        raise OracleContractError(
+            f"player {player} oracle reported value {answer.value}, but its "
+            f"point {answer.point.coords} earns {earned}"
         )
     return answer
 
@@ -154,9 +175,10 @@ def run_double_oracle(
     trace.  Reaching ``max_iters`` is a normal outcome reported as
     ``terminated_by == "iteration_cap"``, not an error.  ``on_iteration`` is
     invoked with each record as it is produced, which lets callers stream
-    partial traces.  An oracle answer outside its player's space, or whose
-    value falls short of the subgame value by more than the oracle's
-    accuracy plus :data:`VALUE_TOL`, raises :class:`OracleContractError`.
+    partial traces.  An oracle answer outside its player's space, whose
+    value is not what its point earns, or whose value falls short of the
+    subgame value by more than the oracle's accuracy plus :data:`VALUE_TOL`,
+    raises :class:`OracleContractError`.
     """
     if epsilon < 0:
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
@@ -170,8 +192,8 @@ def run_double_oracle(
     for i in range(1, max_iters + 1):
         started = time.perf_counter()
         p_star, q_star, value = solve_zero_sum(subgame_matrix(game, xs, ys))
-        ans1 = _checked_answer(oracle1, q_star, game.space1, 1)
-        ans2 = _checked_answer(oracle2, p_star, game.space2, 2)
+        ans1 = _checked_answer(oracle1, q_star, game, 1)
+        ans2 = _checked_answer(oracle2, p_star, game, 2)
         _check_against_subgame(ans1, oracle1, value, 1)
         _check_against_subgame(ans2, oracle2, value, 2)
         record = IterationRecord(
@@ -205,8 +227,10 @@ def bounds_from_profile(
     """Certified value bounds from an arbitrary mixed profile.
 
     ``lower = min_y U(p, y)`` and ``upper = max_x U(x, q)`` (both up to
-    oracle accuracy); the game value lies between them.
+    oracle accuracy); the game value lies between them.  Each oracle
+    answer is checked as in :func:`run_double_oracle`, except against a
+    subgame value.
     """
-    lower = _checked_answer(oracle2, p, game.space2, 2).value
-    upper = _checked_answer(oracle1, q, game.space1, 1).value
+    lower = _checked_answer(oracle2, p, game, 2).value
+    upper = _checked_answer(oracle1, q, game, 1).value
     return lower, upper

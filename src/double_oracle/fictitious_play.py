@@ -14,10 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .core import (
-    MERGE_TOL,
     FiniteMixedStrategy,
     GameDefinition,
     StrategyPoint,
@@ -25,7 +22,7 @@ from .core import (
     require_in_space,
 )
 from .errors import ParameterError
-from .engine import IterationRecord, _checked_answer
+from .engine import IterationRecord, _absorb, _checked_answer
 from .oracles import BestResponseOracle
 
 
@@ -38,14 +35,10 @@ class _Empirical:
         self.total = 1
 
     def add(self, pt: StrategyPoint) -> None:
-        arr = pt.array()
-        for k, rep in enumerate(self.reps):
-            if np.abs(rep.array() - arr).max() <= MERGE_TOL:
-                self.counts[k] += 1
-                self.total += 1
-                return
-        self.reps.append(pt)
-        self.counts.append(1)
+        k = _absorb(self.reps, pt)
+        if k == len(self.counts):
+            self.counts.append(0)
+        self.counts[k] += 1
         self.total += 1
 
     def mixture(self) -> FiniteMixedStrategy:
@@ -95,8 +88,8 @@ def run_fictitious_play(
         started = time.perf_counter()
         mix1 = emp1.mixture()
         mix2 = emp2.mixture()
-        ans1 = _checked_answer(oracle1, mix2, game.space1, 1)
-        ans2 = _checked_answer(oracle2, mix1, game.space2, 2)
+        ans1 = _checked_answer(oracle1, mix2, game, 1)
+        ans2 = _checked_answer(oracle2, mix1, game, 2)
         record = IterationRecord(
             index=i,
             lower=ans2.value,

@@ -166,15 +166,17 @@ def test_criterion_5_milp_dominates_enumeration():
 
 def hinge_from_rows(model, x, var, binary, rows, z_value):
     """Feasible interval for one hinge variable given its binary's value."""
-    lp = model.lp
     lo, hi = 0.0, np.inf
     for r in rows:
-        coef = lp.lhs[r, var]
+        coef = model.rows[r, var]
         if coef == 0.0:
             continue
         assert coef == 1.0
-        residual = float(lp.rhs[r] - lp.lhs[r, :3] @ x - lp.lhs[r, binary] * z_value)
-        if lp.senses[r] == ">=":
+        # every hinge row is one-sided: a lower bound (>=) or an upper one (<=)
+        at_least = np.isfinite(model.row_lower[r])
+        rhs = model.row_lower[r] if at_least else model.row_upper[r]
+        residual = float(rhs - model.rows[r, :3] @ x - model.rows[r, binary] * z_value)
+        if at_least:
             lo = max(lo, residual)
         else:
             hi = min(hi, residual)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from double_oracle import (
     BlottoMilpOracle,
     DomainError,
     FiniteMixedStrategy,
+    MilpSolution,
     OracleContractError,
     ParameterError,
     ResourceLimitError,
@@ -25,6 +27,7 @@ from double_oracle import (
     run_double_oracle,
     simplex_grid,
 )
+from double_oracle import blotto
 from double_oracle.blotto import MILP_ACCURACY, game_definition
 
 GAME_8 = BlottoGame(n=3, a=(1.0, 1.0, 1.0), c=0.125)
@@ -136,22 +139,23 @@ def test_grid_enumeration_budget():
 def test_model_dimensions():
     model = build_best_response_milp(dirac(point(1 / 3, 1 / 3, 1 / 3)), GAME_16)
     n, kn = 3, 3
-    assert model.lp.n_vars == n + 4 * kn
-    assert model.binary_vars == tuple(range(n + 2 * kn, n + 4 * kn))
-    assert model.lp.n_rows == 1 + 6 * kn
+    assert model.objective.size == n + 4 * kn
+    assert tuple(np.flatnonzero(model.binary)) == tuple(range(n + 2 * kn, n + 4 * kn))
+    assert model.rows.shape == (1 + 6 * kn, n + 4 * kn)
+    assert model.row_lower.size == model.row_upper.size == 1 + 6 * kn
 
     two_atoms = merge_duplicates([point(1.0, 0, 0), point(0.0, 1, 0)], [0.5, 0.5])
     wide = build_best_response_milp(two_atoms, GAME_16)
-    assert wide.lp.n_vars == 3 + 4 * 6
-    assert len(wide.binary_vars) == 2 * 6
+    assert wide.objective.size == 3 + 4 * 6
+    assert np.count_nonzero(wide.binary) == 2 * 6
 
 
 def test_model_big_m_constants():
     # 1/c = 16 gives hinge caps of 15 on the narrow side and 17 on the wide
     model = build_best_response_milp(dirac(point(0.5, 0.25, 0.25)), GAME_16)
     kn = 3
-    z_cols = model.lp.lhs[:, 3 + 2 * kn : 3 + 3 * kn]
-    w_cols = model.lp.lhs[:, 3 + 3 * kn :]
+    z_cols = model.rows[:, 3 + 2 * kn : 3 + 3 * kn]
+    w_cols = model.rows[:, 3 + 3 * kn :]
     assert set(np.unique(z_cols[z_cols != 0])) == {15.0, -17.0}
     assert set(np.unique(w_cols[w_cols != 0])) == {17.0, -15.0}
 
@@ -161,12 +165,56 @@ def test_model_objective_matches_weighted_values():
     mix = merge_duplicates([point(1.0, 0, 0), point(0.0, 0, 1)], [0.25, 0.75])
     model = build_best_response_milp(mix, weighted)
     kn = 6
-    s_part = model.lp.objective[3 : 3 + kn]
+    s_part = model.objective[3 : 3 + kn]
     np.testing.assert_allclose(
         s_part, [0.25 * 1, 0.25 * 2, 0.25 * 3, 0.75 * 1, 0.75 * 2, 0.75 * 3]
     )
-    np.testing.assert_allclose(model.lp.objective[3 + kn : 3 + 2 * kn], -s_part)
-    assert model.lp.offset == -6.0
+    np.testing.assert_allclose(model.objective[3 + kn : 3 + 2 * kn], -s_part)
+    assert model.offset == -6.0
+
+
+def reference_rows(atoms, game):
+    """The model's rows and row bounds, built one atom/battlefield pair at a time."""
+    k, n = atoms.shape
+    kn, inv = k * n, 1.0 / game.c
+    rows = np.zeros((1 + 6 * kn, n + 4 * kn))
+    lower = np.full(1 + 6 * kn, -np.inf)
+    upper = np.full(1 + 6 * kn, np.inf)
+    rows[0, :n] = 1.0
+    lower[0] = upper[0] = 1.0
+    for i in range(k):
+        for j in range(n):
+            p = i * n + j
+            s, t, z, w = (n + b * kn + p for b in range(4))
+            lift, drop = 1.0 - atoms[i, j] * inv, -1.0 - atoms[i, j] * inv
+            r = 1 + 6 * p
+            rows[r, [s, j]] = 1.0, -inv
+            lower[r] = lift
+            rows[r + 1, [s, j, z]] = 1.0, -inv, inv - 1.0
+            upper[r + 1] = lift + (inv - 1.0)
+            rows[r + 2, [s, z]] = 1.0, -(inv + 1.0)
+            upper[r + 2] = 0.0
+            rows[r + 3, [t, j]] = 1.0, -inv
+            lower[r + 3] = drop
+            rows[r + 4, [t, j, w]] = 1.0, -inv, inv + 1.0
+            upper[r + 4] = drop + (inv + 1.0)
+            rows[r + 5, [t, w]] = 1.0, -(inv - 1.0)
+            upper[r + 5] = 0.0
+    return rows, lower, upper
+
+
+def test_model_rows_match_a_per_pair_reference():
+    rng = np.random.default_rng(31)
+    for c in (1 / 8, 1 / 10, 1 / 16, float(rng.uniform(0.05, 1.0))):
+        for support in (1, 3, 6):
+            atoms = [allocation(rng.dirichlet(np.ones(3))) for _ in range(support)]
+            mix = merge_duplicates(atoms, rng.dirichlet(np.ones(support)))
+            game = BlottoGame(3, (1.0, 1.0, 1.0), c)
+            model = build_best_response_milp(mix, game)
+            rows, lower, upper = reference_rows(mix.atoms_array(), game)
+            assert np.array_equal(model.rows, rows)
+            assert np.array_equal(model.row_lower, lower)
+            assert np.array_equal(model.row_upper, upper)
 
 
 # ----------------------------------------------------------- best responses
@@ -357,12 +405,20 @@ def test_oracle_player_validation():
         BlottoGridOracle(GAME_8, player=7)
 
 
-def test_large_support_warns_once():
+def test_large_support_warns_once(monkeypatch):
     pts = simplex_grid(3, 0.0625)
     mix = merge_duplicates(pts[:68], np.ones(68) / 68)
-    oracle = BlottoMilpOracle(GAME_16, player=1, node_limit=1)
-    with pytest.warns(UserWarning, match="enumeration"):
-        try:
-            oracle.respond(mix)
-        except ResourceLimitError:
-            pass  # the tiny node budget may run out; only the warning matters
+
+    def fake_solve(model, **options):  # the corner (1, 0, 0), found at once
+        x = np.zeros(model.objective.size)
+        x[0] = 1.0
+        return MilpSolution(x, nodes=0)
+
+    monkeypatch.setattr(blotto, "solve_milp", fake_solve)
+    oracle = BlottoMilpOracle(GAME_16, player=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        oracle.respond(mix)
+        oracle.respond(mix)
+    assert [w.category for w in caught] == [UserWarning]
+    assert "enumeration" in str(caught[0].message)

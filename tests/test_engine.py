@@ -15,7 +15,9 @@ from double_oracle import (
     make_polynomial_game,
     point,
     run_double_oracle,
+    run_fictitious_play,
 )
+from double_oracle.engine import _absorb
 from double_oracle.one_dim import POLYNOMIAL_LIPSCHITZ
 
 RPS = [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]
@@ -143,6 +145,45 @@ def test_value_lying_oracle_is_caught():
 
     with pytest.raises(OracleContractError, match="player 1"):
         run_double_oracle(game, ValueLiar(), o2, [point(0.0)], [point(0.0)])
+
+
+class Overstating:
+    """Answers like ``inner`` but reports 0.5 more than its point earns."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.accuracy = inner.accuracy
+
+    def respond(self, opponent):
+        answer = self.inner.respond(opponent)
+        return OracleAnswer(answer.point, answer.value + 0.5)
+
+
+@pytest.mark.parametrize("solver", ["double_oracle", "fictitious_play"])
+def test_value_overstating_oracle_is_caught(solver):
+    # The inflated upper bound sits above the subgame value, so only the
+    # recheck of the value against the returned point can catch it.
+    game, o1, o2 = polynomial_setup(1e-2)
+    with pytest.raises(OracleContractError, match="player 1"):
+        if solver == "double_oracle":
+            run_double_oracle(game, Overstating(o1), o2, [point(0.0)], [point(0.0)])
+        else:
+            run_fictitious_play(game, Overstating(o1), o2, point(0.0), point(0.0), iters=3)
+
+
+def test_bounds_from_profile_rechecks_values():
+    game, o1, o2 = polynomial_setup(1e-2)
+    with pytest.raises(OracleContractError, match="player 2"):
+        bounds_from_profile(game, dirac(point(0.0)), dirac(point(0.0)), o1, Overstating(o2))
+
+
+def test_absorb_returns_the_first_match_in_insertion_order():
+    held = [point(0.5), point(0.2), point(0.2 + 5e-10)]
+    assert _absorb(held, point(0.2 + 2e-10)) == 1  # within 1e-9 of both 1 and 2
+    assert _absorb(held, point(0.5)) == 0
+    assert len(held) == 3
+    assert _absorb(held, point(0.9)) == 3
+    assert held[3] == point(0.9)
 
 
 def test_streaming_callback_sees_every_record():

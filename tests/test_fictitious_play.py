@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from double_oracle import (
+    Box,
     DomainError,
     FinitePointOracle,
+    GameDefinition,
     GridSearchOracle,
+    OracleAnswer,
     ParameterError,
     expected_utility,
     make_polynomial_game,
@@ -74,6 +77,26 @@ def test_empirical_mixtures_are_the_merged_history():
         want = merge_duplicates(history, np.ones(len(history)))
         assert got.atoms == want.atoms
         assert np.abs(np.subtract(got.weights, want.weights)).max() <= 1e-15
+
+
+def test_near_duplicate_responses_count_toward_the_first():
+    class Jitter:
+        """Player 1 answers 0.25 and 0.25 + 1e-12 in turn (both earn 0)."""
+
+        accuracy = 0.0
+
+        def __init__(self):
+            self.calls = 0
+
+        def respond(self, opponent):
+            self.calls += 1
+            return OracleAnswer(point(0.25 + (self.calls % 2) * 1e-12), 0.0)
+
+    game = GameDefinition(Box((0.0,), (1.0,)), Box((0.0,), (1.0,)), lambda x, y: 0.0 * (x + y)[..., 0])
+    res = run_fictitious_play(game, Jitter(), Jitter(), point(0.25), point(0.75), iters=4)
+    assert res.empirical1.atoms == (point(0.25),)
+    assert res.empirical2.atoms == (point(0.75), point(0.25 + 1e-12))
+    assert res.empirical2.weights == (0.25, 0.75)
 
 
 def test_bounds_bracket_polynomial_value():
