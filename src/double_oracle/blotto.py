@@ -12,11 +12,11 @@ Best responses against a finite opponent mixture come in two flavors:
   ``l(z) = max(z/c + 1, 0) - max(z/c - 1, 0) - 1`` and linearizing each of
   the two hinge terms with one continuous variable, one indicator binary, and
   four linear constraints (big-M constants ``1/c - 1`` and ``1/c + 1``, which
-  are tight for unit budgets).  :func:`build_best_response_milp` fills the
-  rows and their bounds block by block, directly in the form HiGHS takes
-  (see :mod:`.milp`), and the answer's value is the utility of the returned
-  allocation, recomputed from the game rather than read off the MILP
-  objective;
+  are tight for unit budgets).  :func:`build_best_response_milp` lists the
+  nonzeros and row bounds block by block, directly in the form HiGHS takes
+  (a sparse CSC row matrix, see :mod:`.milp`), and the answer's value is
+  the utility of the returned allocation, recomputed from the game rather
+  than read off the MILP objective;
 * exhaustive enumeration over the grid of allocations in multiples of a grid
   spacing ``c``: a :class:`FinitePointOracle` over :func:`simplex_grid`.
 """
@@ -28,6 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_array
 
 from .core import (
     FiniteMixedStrategy,
@@ -194,9 +195,8 @@ def build_best_response_milp(
     objective[s] = coef
     objective[t] = -coef
 
-    rows = np.zeros((1 + 6 * kn, nvars))
-    rows[0, :n] = 1.0
     first = 1 + 6 * pair
+    entries = [(np.zeros(n, dtype=int), np.arange(n), np.ones(n))]  # the budget row
     for q, var, value in (
         (0, s, 1.0), (0, x, -inv),
         (1, s, 1.0), (1, x, -inv), (1, z, m_narrow),
@@ -205,7 +205,15 @@ def build_best_response_milp(
         (4, t, 1.0), (4, x, -inv), (4, w, m_wide),
         (5, t, 1.0), (5, w, -m_narrow),
     ):
-        rows[first + q, var] = value
+        entries.append((first + q, var, np.full(kn, value)))
+    row, col, data = (np.concatenate(part) for part in zip(*entries))
+    keep = data != 0.0  # m_narrow is 0 at c = 1; a dense matrix stores no zeros
+    # Canonical CSC (sorted int32 indices, no zeros) is what scipy.optimize.milp
+    # makes of the equivalent dense matrix, so HiGHS gets the same input.
+    rows = csc_array(
+        (data[keep], (row[keep].astype(np.int32), col[keep].astype(np.int32))),
+        shape=(1 + 6 * kn, nvars),
+    )
     row_lower = np.full((kn, 6), -np.inf)
     row_upper = np.full((kn, 6), np.inf)
     row_lower[:, 0] = lift

@@ -292,12 +292,20 @@ def expected_utility(
     """Expected payoff of the mixed profile ``(p, q)``.
 
     Computed as the bilinear double sum ``sum_x sum_y p(x) q(y) u(x, y)``
-    in one vectorized utility call.
+    in one vectorized utility call, after checking every atom against its
+    player's space.
     """
     for atom in p.atoms:
         require_in_space(game.space1, atom, "player 1")
     for atom in q.atoms:
         require_in_space(game.space2, atom, "player 2")
+    return _bilinear_utility(p, q, game)
+
+
+def _bilinear_utility(
+    p: FiniteMixedStrategy, q: FiniteMixedStrategy, game: GameDefinition
+) -> float:
+    """:func:`expected_utility` for atoms already known to lie in their spaces."""
     xa = p.atoms_array()
     ya = q.atoms_array()
     table = np.asarray(game.utility(xa[:, None, :], ya[None, :, :]), dtype=float)

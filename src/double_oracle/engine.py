@@ -7,6 +7,10 @@ sandwich the game value from below and above every iteration; the loop stops
 once that sandwich closes to ``epsilon``, at which point the last subgame
 equilibrium is an approximate equilibrium of the full game with additive
 error equal to the final gap (plus the oracles' declared accuracy).
+
+The subgame is built once per run and then grows in place: a new strategy
+costs one row or column of payoff evaluations and one LP column or row, and
+the LP is re-solved from its previous basis (see :mod:`.matrix_game`).
 """
 
 from __future__ import annotations
@@ -22,11 +26,10 @@ from .core import (
     FiniteMixedStrategy,
     GameDefinition,
     StrategyPoint,
-    expected_utility,
     require_in_space,
 )
 from .errors import OracleContractError, ParameterError
-from .matrix_game import VALUE_TOL, solve_zero_sum, subgame_matrix
+from .matrix_game import VALUE_TOL, extend_subgame, solve_zero_sum, subgame_matrix
 from .oracles import BestResponseOracle, OracleAnswer
 
 # Absolute slack added to the gap <= epsilon stopping test.  Exact arithmetic
@@ -45,8 +48,9 @@ class IterationRecord:
 
     ``lower``/``upper`` are the oracle values against the current subgame
     equilibrium, ``subgame_value`` is the expected utility of that
-    equilibrium, and ``size_x``/``size_y`` are the strategy-set sizes of the
-    subgame that was solved.  ``added_x``/``added_y`` are the oracle answers,
+    equilibrium (read off the held subgame payoffs in double oracle), and
+    ``size_x``/``size_y`` are the strategy-set sizes of the subgame that
+    was solved.  ``added_x``/``added_y`` are the oracle answers,
     recorded even when they duplicate existing points.
     """
 
@@ -110,6 +114,12 @@ def _absorb(points: list[StrategyPoint], candidate: StrategyPoint) -> int:
             return int(near[0])
     points.append(candidate)
     return len(points) - 1
+
+
+def _added(points: list[StrategyPoint], candidate: StrategyPoint) -> StrategyPoint | None:
+    """``candidate`` if :func:`_absorb` appends it to ``points``, else None."""
+    held = len(points)
+    return candidate if _absorb(points, candidate) == held else None
 
 
 def _checked_answer(
@@ -188,10 +198,11 @@ def run_double_oracle(
     xs = _merged_point_list(initial_x, game.space1, "player 1")
     ys = _merged_point_list(initial_y, game.space2, "player 2")
 
+    subgame = subgame_matrix(game, xs, ys)
     trace: list[IterationRecord] = []
     for i in range(1, max_iters + 1):
         started = time.perf_counter()
-        p_star, q_star, value = solve_zero_sum(subgame_matrix(game, xs, ys))
+        p_star, q_star, value = solve_zero_sum(subgame)
         ans1 = _checked_answer(oracle1, q_star, game, 1)
         ans2 = _checked_answer(oracle2, p_star, game, 2)
         _check_against_subgame(ans1, oracle1, value, 1)
@@ -200,7 +211,7 @@ def run_double_oracle(
             index=i,
             lower=ans2.value,
             upper=ans1.value,
-            subgame_value=expected_utility(p_star, q_star, game),
+            subgame_value=subgame.profile_payoff(p_star, q_star),
             size_x=len(xs),
             size_y=len(ys),
             added_x=ans1.point,
@@ -212,8 +223,7 @@ def run_double_oracle(
             on_iteration(record)
         if record.gap <= epsilon + STOP_TOL:
             return SolveResult(p_star, q_star, trace, TERMINATED_GAP)
-        _absorb(xs, ans1.point)
-        _absorb(ys, ans2.point)
+        extend_subgame(subgame, game, _added(xs, ans1.point), _added(ys, ans2.point))
     return SolveResult(p_star, q_star, trace, TERMINATED_CAP)
 
 

@@ -18,7 +18,7 @@ from .core import (
     FiniteMixedStrategy,
     GameDefinition,
     StrategyPoint,
-    expected_utility,
+    _bilinear_utility,
     require_in_space,
 )
 from .errors import ParameterError
@@ -94,7 +94,8 @@ def run_fictitious_play(
             index=i,
             lower=ans2.value,
             upper=ans1.value,
-            subgame_value=expected_utility(mix1, mix2, game),
+            # Every atom passed require_in_space or _checked_answer once.
+            subgame_value=_bilinear_utility(mix1, mix2, game),
             size_x=mix1.support_size,
             size_y=mix2.support_size,
             added_x=ans1.point,

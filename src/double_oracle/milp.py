@@ -32,7 +32,11 @@ _OPTIMAL, _OTHER = 0, 4
 
 @dataclass(frozen=True)
 class MilpModel:
-    """A dense MILP in the form of the module docstring; ``binary`` is a mask."""
+    """A MILP in the form of the module docstring; ``binary`` is a mask.
+
+    ``rows`` is a dense array or a scipy sparse matrix; HiGHS gets it in
+    CSC form either way.
+    """
 
     objective: np.ndarray
     rows: np.ndarray

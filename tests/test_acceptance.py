@@ -5,6 +5,7 @@ Each test prints exactly one ``criterion N: PASS/FAIL`` line (visible with
 as the acceptance summary.  Tolerances are pinned literally in each test.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -206,6 +207,7 @@ def test_criterion_6_linearization_is_exact():
         y = rng.dirichlet(np.ones(3))
         x = rng.dirichlet(np.ones(3))
         model = build_best_response_milp(dirac(point(*y)), game)
+        model = dataclasses.replace(model, rows=model.rows.toarray())
         for j in range(3):
             rows = range(1 + 6 * j, 7 + 6 * j)
             s = resolve_hinge(model, x, 3 + j, 9 + j, rows)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from double_oracle import (
     BlottoGame,
@@ -154,8 +155,9 @@ def test_model_big_m_constants():
     # 1/c = 16 gives hinge caps of 15 on the narrow side and 17 on the wide
     model = build_best_response_milp(dirac(point(0.5, 0.25, 0.25)), GAME_16)
     kn = 3
-    z_cols = model.rows[:, 3 + 2 * kn : 3 + 3 * kn]
-    w_cols = model.rows[:, 3 + 3 * kn :]
+    rows = model.rows.toarray()
+    z_cols = rows[:, 3 + 2 * kn : 3 + 3 * kn]
+    w_cols = rows[:, 3 + 3 * kn :]
     assert set(np.unique(z_cols[z_cols != 0])) == {15.0, -17.0}
     assert set(np.unique(w_cols[w_cols != 0])) == {17.0, -15.0}
 
@@ -212,9 +214,22 @@ def test_model_rows_match_a_per_pair_reference():
             game = BlottoGame(3, (1.0, 1.0, 1.0), c)
             model = build_best_response_milp(mix, game)
             rows, lower, upper = reference_rows(mix.atoms_array(), game)
-            assert np.array_equal(model.rows, rows)
+            assert np.array_equal(model.rows.toarray(), rows)
             assert np.array_equal(model.row_lower, lower)
             assert np.array_equal(model.row_upper, upper)
+
+
+@pytest.mark.parametrize("c", [1 / 8, 1.0])  # at c = 1 the narrow big-M is 0
+def test_model_rows_are_what_milp_makes_of_dense_rows(c):
+    # scipy.optimize.milp converts dense rows with csc_array: HiGHS gets the
+    # same arrays from the sparse build.
+    mix = merge_duplicates([point(0.5, 0.25, 0.25), point(0.0, 0.5, 0.5)], [0.5, 0.5])
+    game = BlottoGame(3, (1.0, 1.0, 1.0), c)
+    model = build_best_response_milp(mix, game)
+    dense = csc_array(reference_rows(mix.atoms_array(), game)[0])
+    for part in ("indptr", "indices", "data"):
+        got, want = getattr(model.rows, part), getattr(dense, part)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ----------------------------------------------------------- best responses

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import double_oracle.engine as engine
 from double_oracle import (
+    BlottoGame,
+    BlottoGridOracle,
     FinitePointOracle,
     GridSearchOracle,
     OracleAnswer,
@@ -13,12 +16,14 @@ from double_oracle import (
     embed_matrix_game,
     expected_utility,
     make_polynomial_game,
+    make_townsend_game,
     point,
     run_double_oracle,
     run_fictitious_play,
 )
+from double_oracle.blotto import game_definition
 from double_oracle.engine import _absorb
-from double_oracle.one_dim import POLYNOMIAL_LIPSCHITZ
+from double_oracle.one_dim import POLYNOMIAL_LIPSCHITZ, TOWNSEND_LIPSCHITZ
 
 RPS = [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]
 
@@ -213,3 +218,69 @@ def test_tiled_interval_still_solves():
     assert res.value == pytest.approx(-0.48, abs=1e-3)
     for atom in res.p_star.atoms:
         assert game.space1.contains(atom)
+
+
+def recording_solves(monkeypatch):
+    """Every (subgame, solution) pair the engine solves, in order."""
+    seen = []
+    inner = engine.solve_zero_sum
+
+    def solve(mg):
+        out = inner(mg)
+        seen.append((mg, out))
+        return out
+
+    monkeypatch.setattr(engine, "solve_zero_sum", solve)
+    return seen
+
+
+def one_dim_run(make_game, lipschitz, start):
+    game = make_game()
+    o1 = GridSearchOracle(game, 1, 1e-3, lipschitz)
+    o2 = GridSearchOracle(game, 2, 1e-3, lipschitz)
+    return game, run_double_oracle(game, o1, o2, [point(start)], [point(start)], epsilon=1e-6)
+
+
+def blotto_run():
+    blotto = BlottoGame(3, (1.0, 1.1, 0.9), 0.25)
+    game = game_definition(blotto)
+    corners = [point(1.0, 0.0, 0.0), point(0.0, 1.0, 0.0), point(0.0, 0.0, 1.0)]
+    o1, o2 = BlottoGridOracle(blotto, 1), BlottoGridOracle(blotto, 2)
+    return game, run_double_oracle(game, o1, o2, corners, corners, epsilon=1e-6)
+
+
+RUNS = {
+    "g1": lambda: one_dim_run(make_polynomial_game, POLYNOMIAL_LIPSCHITZ, 0.0),
+    "g2": lambda: one_dim_run(make_townsend_game, TOWNSEND_LIPSCHITZ, 0.5),
+    "blotto": blotto_run,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_subgame_value_is_the_expected_utility_of_each_profile(monkeypatch, name):
+    solves = recording_solves(monkeypatch)
+    game, res = RUNS[name]()
+    assert len(solves) == res.iterations > 2
+    for record, (_, (p, q, _)) in zip(res.trace, solves):
+        assert abs(record.subgame_value - expected_utility(p, q, game)) <= 1e-12
+
+
+def test_subgame_model_grows_only_by_new_points(monkeypatch):
+    solves = recording_solves(monkeypatch)
+    game, o1, o2 = polynomial_setup(1e-3)
+    res = run_double_oracle(game, o1, o2, [point(0.0)], [point(0.0)], epsilon=1e-6)
+    subgames = {id(mg) for mg, _ in solves}
+    assert len(subgames) == 1  # one subgame, grown in place
+    repeats = sum(
+        cur.size_x == prev.size_x or cur.size_y == prev.size_y
+        for prev, cur in zip(res.trace, res.trace[1:])
+    )
+    assert repeats > 0  # some oracle answered with a point already held
+    mg = solves[-1][0]
+    last = res.trace[-1]
+    assert (len(mg.row_strategies), len(mg.col_strategies)) == (last.size_x, last.size_y)
+    assert mg.payoff.shape == (last.size_x, last.size_y)
+    # HiGHS holds v plus one column per row strategy, and sum(p) = 1 plus
+    # one row per column strategy.
+    assert mg._lp.highs.getNumCol() == last.size_x + 1
+    assert mg._lp.highs.getNumRow() == last.size_y + 1

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+import scipy
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs_core
 
+import double_oracle.matrix_game as matrix_game
 from double_oracle import (
     BlottoGame,
     DomainError,
@@ -13,6 +18,7 @@ from double_oracle import (
     subgame_matrix,
 )
 from double_oracle.blotto import game_definition
+from double_oracle.matrix_game import VALUE_TOL
 
 RPS = [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]
 PENNIES = [[1.0, -1.0], [-1.0, 1.0]]
@@ -132,3 +138,129 @@ def test_matrix_game_validation():
         MatrixGame(np.zeros((2, 2)), (point(0.0),), (point(0.0), point(1.0)))
     with pytest.raises(ModelError):
         MatrixGame.from_payoff([[np.nan]])
+
+
+# ------------------------------------------------- the persistent HiGHS LP
+
+HIGHS_METHODS = (
+    "addCol", "addRow", "clearSolver", "getModelStatus", "getSolution",
+    "modelStatusToString", "run", "setOptionValue",
+)
+
+
+def test_private_highs_binding_has_every_method_used():
+    # scipy.optimize._highspy is private API; a scipy that renames a piece
+    # of it should fail here rather than inside a solver run.
+    missing = [name for name in HIGHS_METHODS if not hasattr(highs_core._Highs, name)]
+    assert not missing, f"scipy {scipy.__version__}: _Highs lacks {missing}"
+    assert hasattr(highs_core.HighsModelStatus, "kOptimal")
+    assert hasattr(highs_core.HighsStatus, "kError")
+
+
+def fresh_lp_value(A):
+    """Value of the matrix game A by one independent scipy.optimize.linprog call."""
+    m, k = A.shape
+    res = linprog(
+        np.append(np.zeros(m), -1.0),
+        A_ub=np.hstack([-A.T, np.ones((k, 1))]),
+        b_ub=np.zeros(k),
+        A_eq=np.append(np.ones(m), 0.0)[None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * m + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return float(res.x[-1])
+
+
+def label(i):
+    return point(float(i))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 7),
+    k=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "duplicate_rows", "constant"]),
+    data=st.data(),
+)
+def test_growing_subgame_matches_a_fresh_lp(m, k, seed, kind, data):
+    rng = np.random.default_rng(seed)
+    full = rng.normal(size=(m, k))
+    if kind == "duplicate_rows":
+        full[rng.integers(0, m, size=m // 2 + 1)] = full[0]
+    elif kind == "constant":
+        full[:] = float(rng.normal())
+    order = data.draw(st.permutations(["row"] * (m - 1) + ["col"] * (k - 1)))
+
+    mg = MatrixGame(full[:1, :1], (label(0),), (label(0),))
+    _, _, value = solve_zero_sum(mg)
+    assert value == pytest.approx(full[0, 0], abs=VALUE_TOL)
+    rows = cols = 1
+    for step in order:
+        if step == "row":
+            mg.add_row(label(rows), full[rows, :cols])
+            rows += 1
+        else:
+            mg.add_col(label(cols), full[:rows, cols])
+            cols += 1
+        _, _, value = solve_zero_sum(mg)
+        assert np.array_equal(mg.payoff, full[:rows, :cols])
+        assert abs(value - fresh_lp_value(full[:rows, :cols])) <= VALUE_TOL
+
+
+class FlakyHighs:
+    """A real HiGHS model whose first ``failures`` solves report a solve error."""
+
+    made = []
+
+    def __init__(self, failures):
+        self.inner = highs_core._Highs()
+        self.failures = failures
+        self.runs = 0
+        self.clears = 0
+        FlakyHighs.made.append(self)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def run(self):
+        self.runs += 1
+        return self.inner.run()
+
+    def clearSolver(self):
+        self.clears += 1
+        return self.inner.clearSolver()
+
+    def getModelStatus(self):
+        if self.runs <= self.failures:
+            return highs_core.HighsModelStatus.kSolveError
+        return self.inner.getModelStatus()
+
+
+def grown_pennies(monkeypatch, failures):
+    """Matching pennies solved once, then grown by one row, on a flaky model."""
+    FlakyHighs.made.clear()
+    monkeypatch.setattr(matrix_game, "_Highs", lambda: FlakyHighs(0))
+    mg = MatrixGame.from_payoff(PENNIES)
+    solve_zero_sum(mg)
+    flaky = FlakyHighs.made[0]
+    flaky.failures = flaky.runs + failures
+    mg.add_row(label(2), [2.0, -2.0])
+    return mg, flaky
+
+
+def test_failed_warm_solve_is_retried_once_from_scratch(monkeypatch):
+    mg, flaky = grown_pennies(monkeypatch, failures=1)
+    runs = flaky.runs
+    _, _, value = solve_zero_sum(mg)
+    assert (flaky.runs - runs, flaky.clears) == (2, 1)
+    assert value == pytest.approx(fresh_lp_value(mg.payoff), abs=VALUE_TOL)
+
+
+def test_failed_cold_retry_raises(monkeypatch):
+    mg, flaky = grown_pennies(monkeypatch, failures=2)
+    with pytest.raises(ModelError, match="Solve error"):
+        solve_zero_sum(mg)
+    assert flaky.clears == 1
