@@ -128,13 +128,22 @@ def _checked_answer(
     game: GameDefinition,
     player: int,
 ) -> OracleAnswer:
-    """Ask ``oracle`` for a best response and check the answer it gives.
+    """Ask ``oracle`` for a best response to ``opponent`` and check it."""
+    return _check_answer(oracle.respond(opponent), opponent, game, player)
+
+
+def _check_answer(
+    answer: OracleAnswer,
+    opponent: FiniteMixedStrategy,
+    game: GameDefinition,
+    player: int,
+) -> OracleAnswer:
+    """Return ``answer``, a best response to ``opponent``, once it checks out.
 
     The point must lie in the player's space, and the reported value must
     match the point's payoff against ``opponent``, recomputed from the game
     (one utility evaluation per opponent atom), within :data:`VALUE_TOL`.
     """
-    answer = oracle.respond(opponent)
     space = game.space1 if player == 1 else game.space2
     if not space.contains(answer.point):
         raise OracleContractError(
@@ -223,7 +232,8 @@ def run_double_oracle(
             on_iteration(record)
         if record.gap <= epsilon + STOP_TOL:
             return SolveResult(p_star, q_star, trace, TERMINATED_GAP)
-        extend_subgame(subgame, game, _added(xs, ans1.point), _added(ys, ans2.point))
+        if i < max_iters:
+            extend_subgame(subgame, game, _added(xs, ans1.point), _added(ys, ans2.point))
     return SolveResult(p_star, q_star, trace, TERMINATED_CAP)
 
 

@@ -6,6 +6,13 @@ weight ``1/i``; duplicated responses accumulate mass).  The oracle values
 computed against the empirical mixtures bound the game value from below and
 above, which makes the trace directly comparable with the strategy-generation
 solver's.
+
+A round changes each empirical mixture by one count.  An oracle with a
+``running()`` method (:class:`~.one_dim.GridSearchOracle`) hands fictitious
+play a responder that keeps the count-weighted payoff sum over its grid, so
+a round costs one column add and one argmax per player.  Any other oracle
+is asked about the whole empirical mixture every round through
+``respond``.  Either way every answer is checked against the mixture.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from .core import (
     require_in_space,
 )
 from .errors import ParameterError
-from .engine import IterationRecord, _absorb, _checked_answer
-from .oracles import BestResponseOracle
+from .engine import IterationRecord, _absorb, _check_answer
+from .oracles import BestResponseOracle, OracleAnswer
 
 
 class _Empirical:
@@ -33,19 +40,47 @@ class _Empirical:
         self.reps: list[StrategyPoint] = [first]
         self.counts: list[int] = [1]
         self.total = 1
+        self._mixture: FiniteMixedStrategy | None = None
 
-    def add(self, pt: StrategyPoint) -> None:
+    def add(self, pt: StrategyPoint) -> StrategyPoint:
+        """Count ``pt`` toward its representative, which is returned."""
         k = _absorb(self.reps, pt)
         if k == len(self.counts):
             self.counts.append(0)
         self.counts[k] += 1
         self.total += 1
+        self._mixture = None
+        return self.reps[k]
 
     def mixture(self) -> FiniteMixedStrategy:
         # ``add`` keeps the representatives MERGE_TOL apart, so no re-merge.
-        return FiniteMixedStrategy(
-            tuple(self.reps), tuple(c / self.total for c in self.counts)
-        )
+        if self._mixture is None:
+            self._mixture = FiniteMixedStrategy(
+                tuple(self.reps), tuple(c / self.total for c in self.counts)
+            )
+        return self._mixture
+
+
+class _Requery:
+    """Responder for an oracle without ``running()``: asks about the whole mixture."""
+
+    def __init__(self, oracle: BestResponseOracle, opponent: _Empirical):
+        self.oracle = oracle
+        self.opponent = opponent
+
+    def add(self, atom: StrategyPoint) -> None:
+        pass
+
+    def respond(self) -> OracleAnswer:
+        return self.oracle.respond(self.opponent.mixture())
+
+
+def _responder(oracle: BestResponseOracle, opponent: _Empirical):
+    """Best responder to ``opponent``, fed each representative it counts."""
+    running = getattr(oracle, "running", None)
+    responder = running() if running is not None else _Requery(oracle, opponent)
+    responder.add(opponent.reps[0])
+    return responder
 
 
 @dataclass
@@ -83,18 +118,20 @@ def run_fictitious_play(
 
     emp1 = _Empirical(init1)
     emp2 = _Empirical(init2)
+    best1 = _responder(oracle1, emp2)
+    best2 = _responder(oracle2, emp1)
     trace: list[IterationRecord] = []
     for i in range(1, iters + 1):
         started = time.perf_counter()
         mix1 = emp1.mixture()
         mix2 = emp2.mixture()
-        ans1 = _checked_answer(oracle1, mix2, game, 1)
-        ans2 = _checked_answer(oracle2, mix1, game, 2)
+        ans1 = _check_answer(best1.respond(), mix2, game, 1)
+        ans2 = _check_answer(best2.respond(), mix1, game, 2)
         record = IterationRecord(
             index=i,
             lower=ans2.value,
             upper=ans1.value,
-            # Every atom passed require_in_space or _checked_answer once.
+            # Every atom passed require_in_space or _check_answer once.
             subgame_value=_bilinear_utility(mix1, mix2, game),
             size_x=mix1.support_size,
             size_y=mix2.support_size,
@@ -106,6 +143,8 @@ def run_fictitious_play(
         if on_iteration is not None:
             on_iteration(record)
         if i < iters:
-            emp1.add(ans1.point)
-            emp2.add(ans2.point)
+            # The representative's column, not the raw answer's, so that
+            # each running sum is exactly sum_j count_j * column(rep_j).
+            best2.add(emp1.add(ans1.point))
+            best1.add(emp2.add(ans2.point))
     return FictitiousPlayResult(trace, emp1.mixture(), emp2.mixture())

@@ -15,6 +15,7 @@ method used here exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,7 +26,6 @@ from .core import (
     FiniteMixedStrategy,
     GameDefinition,
     StrategyPoint,
-    merge_duplicates,
     require_in_space,
 )
 from .errors import ModelError
@@ -97,8 +97,10 @@ class _SubgameLP:
 class MatrixGame:
     """Payoff matrix for player 1 plus the pure strategies labeling its axes.
 
-    The game grows in place through :meth:`add_row` and :meth:`add_col`, and
-    its LP model, once :func:`solve_zero_sum` has built it, grows with it.
+    The labels of each axis are distinct; a repeated one raises
+    :class:`ModelError`.  The game grows in place through :meth:`add_row`
+    and :meth:`add_col`, and its LP model, once :func:`solve_zero_sum` has
+    built it, grows with it.
     """
 
     payoff: np.ndarray
@@ -119,12 +121,13 @@ class MatrixGame:
         m, k = self.payoff.shape
         if len(self.row_strategies) != m or len(self.col_strategies) != k:
             raise ModelError("strategy labels must match the payoff shape")
-        self._row_at = {pt: i for i, pt in enumerate(self.row_strategies)}
-        self._col_at = {pt: j for j, pt in enumerate(self.col_strategies)}
+        self._row_at = _label_index(self.row_strategies, "row")
+        self._col_at = _label_index(self.col_strategies, "column")
 
     def add_row(self, strategy: StrategyPoint, payoffs: Sequence[float]) -> None:
         """Append row strategy ``strategy`` earning ``payoffs[j]`` against column ``j``."""
         row = _new_line(payoffs, self.payoff.shape[1])
+        _require_new(self._row_at, strategy, "row")
         self.payoff = np.vstack([self.payoff, row])
         self._row_at[strategy] = len(self.row_strategies)
         self.row_strategies += (strategy,)
@@ -134,6 +137,7 @@ class MatrixGame:
     def add_col(self, strategy: StrategyPoint, payoffs: Sequence[float]) -> None:
         """Append column strategy ``strategy`` paying ``payoffs[i]`` against row ``i``."""
         col = _new_line(payoffs, self.payoff.shape[0])
+        _require_new(self._col_at, strategy, "column")
         self.payoff = np.column_stack([self.payoff, col])
         self._col_at[strategy] = len(self.col_strategies)
         self.col_strategies += (strategy,)
@@ -154,6 +158,18 @@ class MatrixGame:
         rows = tuple(StrategyPoint((float(i),)) for i in range(arr.shape[0]))
         cols = tuple(StrategyPoint((float(j),)) for j in range(arr.shape[1]))
         return cls(arr, rows, cols)
+
+
+def _require_new(index: dict, strategy: StrategyPoint, axis: str) -> None:
+    if strategy in index:
+        raise ModelError(f"{axis} strategy {strategy.coords} is already held")
+
+
+def _label_index(labels: tuple[StrategyPoint, ...], axis: str) -> dict:
+    index = {pt: i for i, pt in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ModelError(f"a {axis} strategy label is repeated")
+    return index
 
 
 def _new_line(payoffs: Sequence[float], size: int) -> np.ndarray:
@@ -268,6 +284,12 @@ def solve_zero_sum(
             f"min col {best_col}, value {value}"
         )
 
-    p = merge_duplicates(mg.row_strategies, p_vec)
-    q = merge_duplicates(mg.col_strategies, q_vec)
-    return p, q, value
+    return _mixture(mg.row_strategies, p_vec), _mixture(mg.col_strategies, q_vec), value
+
+
+def _mixture(labels: tuple[StrategyPoint, ...], weights: np.ndarray) -> FiniteMixedStrategy:
+    """The positive-weight labels, in order, renormalized as merge_duplicates does."""
+    keep = np.flatnonzero(weights > 0.0)
+    kept = weights[keep].tolist()
+    total = math.fsum(kept)
+    return FiniteMixedStrategy(tuple(labels[i] for i in keep), tuple(w / total for w in kept))

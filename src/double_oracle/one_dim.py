@@ -95,6 +95,12 @@ class GridSearchOracle:
     columns are cached per distinct opponent atom (memory: one grid-length
     column each), so repeated queries against growing mixtures (as produced
     by the solvers here) evaluate the utility only on new atoms.
+
+    Fictitious play, whose opponent mixture changes by one count a round,
+    uses :meth:`running` instead: a round then costs one column add and one
+    argmax/argmin over the grid, whatever the support.  The running sum
+    lives in the returned responder, not in the oracle, so :meth:`respond`
+    stays a pure function of its query.
     """
 
     def __init__(
@@ -135,8 +141,37 @@ class GridSearchOracle:
         values = np.zeros(self._grid.size)
         for atom, weight in zip(opponent.atoms, opponent.weights):
             values += weight * self._column(atom)
+        return self._best(values, 1.0)
+
+    def _best(self, values: np.ndarray, total: float) -> OracleAnswer:
+        # argmax/argmin on the undivided sum: dividing first could round
+        # distinct values into ties.  Ties go to the smallest coordinate.
         idx = int(np.argmax(values)) if self.player == 1 else int(np.argmin(values))
-        return OracleAnswer(StrategyPoint((float(self._grid[idx]),)), float(values[idx]))
+        return OracleAnswer(StrategyPoint((float(self._grid[idx]),)), float(values[idx]) / total)
+
+    def running(self) -> RunningGridResponse:
+        """A fresh best responder to a count-weighted, growing opponent history."""
+        return RunningGridResponse(self)
+
+
+class RunningGridResponse:
+    """Best response to the uniform mixture over a growing list of atoms.
+
+    Holds ``S = sum_j column(atom_j)`` over every :meth:`add` (an atom added
+    twice counts twice) and answers against ``S / count``.
+    """
+
+    def __init__(self, oracle: GridSearchOracle):
+        self._oracle = oracle
+        self.sum = np.zeros(oracle._grid.size)
+        self.count = 0
+
+    def add(self, atom: StrategyPoint) -> None:
+        self.sum += self._oracle._column(atom)
+        self.count += 1
+
+    def respond(self) -> OracleAnswer:
+        return self._oracle._best(self.sum, self.count)
 
 
 def grid_best_response(

@@ -107,6 +107,33 @@ def test_iteration_cap_is_a_normal_outcome():
     assert res.p_star.support_size >= 1
 
 
+def counting_extensions(monkeypatch):
+    """Every call the engine makes to grow its subgame."""
+    calls = []
+    inner = engine.extend_subgame
+
+    def extend(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(engine, "extend_subgame", extend)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "epsilon, max_iters, ending", [(1e-12, 2, "iteration_cap"), (1e-3, 1000, "gap")]
+)
+def test_subgame_grows_only_when_another_iteration_follows(
+    monkeypatch, epsilon, max_iters, ending
+):
+    calls = counting_extensions(monkeypatch)
+    game, o1, o2 = polynomial_setup()
+    res = run_double_oracle(game, o1, o2, [point(0.0)], [point(0.0)],
+                            epsilon=epsilon, max_iters=max_iters)
+    assert res.terminated_by == ending
+    assert len(calls) == res.iterations - 1
+
+
 def test_duplicate_initial_points_are_merged():
     game, o1, o2 = polynomial_setup(1e-3)
     res = run_double_oracle(

@@ -9,14 +9,16 @@ from double_oracle import (
     GridSearchOracle,
     OracleAnswer,
     ParameterError,
+    dirac,
     expected_utility,
     make_polynomial_game,
+    make_townsend_game,
     merge_duplicates,
     embed_matrix_game,
     point,
     run_fictitious_play,
 )
-from double_oracle.one_dim import POLYNOMIAL_LIPSCHITZ
+from double_oracle.one_dim import POLYNOMIAL_LIPSCHITZ, TOWNSEND_LIPSCHITZ
 
 
 def pennies_setup():
@@ -97,6 +99,100 @@ def test_near_duplicate_responses_count_toward_the_first():
     assert res.empirical1.atoms == (point(0.25),)
     assert res.empirical2.atoms == (point(0.75), point(0.25 + 1e-12))
     assert res.empirical2.weights == (0.25, 0.75)
+
+
+# ------------------------------------- grid oracles' running responders
+
+GRID_GAMES = {
+    "g1": (make_polynomial_game, POLYNOMIAL_LIPSCHITZ),
+    "g2": (make_townsend_game, TOWNSEND_LIPSCHITZ),
+}
+GRID_ROUNDS = 200
+
+
+def grid_oracles(name):
+    make, lipschitz = GRID_GAMES[name]
+    game = make()
+    return game, GridSearchOracle(game, 1, 1e-4, lipschitz), GridSearchOracle(game, 2, 1e-4, lipschitz)
+
+
+class RespondOnly:
+    """Exposes only ``respond`` and ``accuracy`` of the oracle it wraps."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.accuracy = inner.accuracy
+        self.calls = 0
+
+    def respond(self, opponent):
+        self.calls += 1
+        return self.inner.respond(opponent)
+
+
+@pytest.fixture(scope="module", params=sorted(GRID_GAMES))
+def grid_run(request):
+    """Fictitious play from 0.0 with grid oracles, and the responders it made."""
+    game, o1, o2 = grid_oracles(request.param)
+    made = {}
+    for player, oracle in ((1, o1), (2, o2)):
+        def running(inner=oracle.running, player=player):
+            made[player] = inner()
+            return made[player]
+
+        oracle.running = running
+    res = run_fictitious_play(game, o1, o2, point(0.0), point(0.0), iters=GRID_ROUNDS)
+    return request.param, game, (o1, o2), made, res
+
+
+def round_mixtures(trace, init1, init2):
+    """The empirical mixtures (player 1, player 2) each round of ``trace`` faced."""
+    history1, history2 = [init1], [init2]
+    for rec in trace:
+        yield (
+            merge_duplicates(history1, np.ones(len(history1))),
+            merge_duplicates(history2, np.ones(len(history2))),
+        )
+        history1.append(rec.added_x)
+        history2.append(rec.added_y)
+
+
+def test_running_answers_match_a_fresh_oracle(grid_run):
+    name, game, _, made, res = grid_run
+    assert set(made) == {1, 2}
+    _, fresh1, fresh2 = grid_oracles(name)
+    for rec, (mix1, mix2) in zip(res.trace, round_mixtures(res.trace, point(0.0), point(0.0))):
+        for got, value, want, earned in (
+            (rec.added_x, rec.upper, fresh1.respond(mix2),
+             lambda pt: expected_utility(dirac(pt), mix2, game)),
+            (rec.added_y, rec.lower, fresh2.respond(mix1),
+             lambda pt: expected_utility(mix1, dirac(pt), game)),
+        ):
+            assert abs(value - want.value) <= 1e-12
+            if got != want.point:  # a near-tie: both points must be best
+                assert abs(earned(got) - want.value) <= 1e-12
+                assert abs(earned(want.point) - want.value) <= 1e-12
+
+
+def test_running_sums_are_the_counted_columns(grid_run):
+    _, _, (o1, o2), made, res = grid_run
+    for oracle, responder, opponent in ((o1, made[1], res.empirical2), (o2, made[2], res.empirical1)):
+        counts = np.rint(opponent.weights_array() * GRID_ROUNDS)
+        assert counts.sum() == responder.count == GRID_ROUNDS
+        want = sum(c * oracle._column(atom) for c, atom in zip(counts, opponent.atoms))
+        assert np.abs(responder.sum - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_oracles_without_running_are_asked_every_round(grid_run):
+    name, game, _, _, res = grid_run
+    _, o1, o2 = grid_oracles(name)
+    p1, p2 = RespondOnly(o1), RespondOnly(o2)
+    generic = run_fictitious_play(game, p1, p2, point(0.0), point(0.0), iters=30)
+    assert p1.calls == p2.calls == 30
+    for a, b in zip(generic.trace, res.trace):
+        assert (a.added_x, a.added_y) == (b.added_x, b.added_y)
+        assert abs(a.upper - b.upper) <= 1e-12
+        assert abs(a.lower - b.lower) <= 1e-12
+        assert abs(a.subgame_value - b.subgame_value) <= 1e-12
 
 
 def test_bounds_bracket_polynomial_value():

@@ -13,6 +13,7 @@ from double_oracle import (
     ModelError,
     embed_matrix_game,
     make_polynomial_game,
+    merge_duplicates,
     point,
     solve_zero_sum,
     subgame_matrix,
@@ -140,6 +141,20 @@ def test_matrix_game_validation():
         MatrixGame.from_payoff([[np.nan]])
 
 
+def test_repeated_labels_are_rejected():
+    with pytest.raises(ModelError):
+        MatrixGame(np.zeros((2, 1)), (point(0.0), point(0.0)), (point(1.0),))
+    with pytest.raises(ModelError):
+        MatrixGame(np.zeros((1, 2)), (point(0.0),), (point(1.0), point(1.0)))
+    mg = MatrixGame.from_payoff(PENNIES)
+    with pytest.raises(ModelError):
+        mg.add_row(point(1.0), [0.0, 0.0])
+    with pytest.raises(ModelError):
+        mg.add_col(point(0.0), [0.0, 0.0])
+    assert mg.payoff.shape == (2, 2)
+    assert len(mg.row_strategies) == len(mg.col_strategies) == 2
+
+
 # ------------------------------------------------- the persistent HiGHS LP
 
 HIGHS_METHODS = (
@@ -177,6 +192,20 @@ def label(i):
     return point(float(i))
 
 
+def lp_weights(mg):
+    """The normalized p and q of the last HiGHS solution held by ``mg``."""
+    solution = mg._lp.highs.getSolution()
+    p = np.clip(np.asarray(solution.col_value)[1:], 0.0, None)
+    q = np.clip(-np.asarray(solution.row_dual)[1:], 0.0, None)
+    return p / p.sum(), q / q.sum()
+
+
+def assert_merged(mix, labels, weights):
+    want = merge_duplicates(labels, weights)
+    assert mix.atoms == want.atoms
+    assert mix.weights == want.weights  # bit-equal
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     m=st.integers(1, 7),
@@ -205,9 +234,12 @@ def test_growing_subgame_matches_a_fresh_lp(m, k, seed, kind, data):
         else:
             mg.add_col(label(cols), full[:rows, cols])
             cols += 1
-        _, _, value = solve_zero_sum(mg)
+        p, q, value = solve_zero_sum(mg)
         assert np.array_equal(mg.payoff, full[:rows, :cols])
         assert abs(value - fresh_lp_value(full[:rows, :cols])) <= VALUE_TOL
+        p_vec, q_vec = lp_weights(mg)
+        assert_merged(p, mg.row_strategies, p_vec)
+        assert_merged(q, mg.col_strategies, q_vec)
 
 
 class FlakyHighs:
