@@ -12,8 +12,8 @@ The default set finishes in a few seconds:
 
 ``--heavy`` appends a double-oracle run that calls the MILP oracle every
 iteration, from the corners at c = 1/8 to epsilon = 1e-3.  Each response
-solves a MILP whose size grows with the opponent's support, so this run
-takes about ten seconds, longer than the rest together.
+solves a MILP whose size grows with the opponent's support; the run closes
+the gap in 15 iterations, in about a second.
 """
 
 import argparse

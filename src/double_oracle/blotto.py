@@ -8,15 +8,15 @@ the game is antisymmetric.
 
 Best responses against a finite opponent mixture come in two flavors:
 
-* an exact mixed-integer program, obtained by writing the contest function as
-  ``l(z) = max(z/c + 1, 0) - max(z/c - 1, 0) - 1`` and linearizing each of
-  the two hinge terms with one continuous variable, one indicator binary, and
-  four linear constraints (big-M constants ``1/c - 1`` and ``1/c + 1``, which
-  are tight for unit budgets).  :func:`build_best_response_milp` lists the
-  nonzeros and row bounds block by block, directly in the form HiGHS takes
-  (a sparse CSC row matrix, see :mod:`.milp`), and the answer's value is
-  the utility of the returned allocation, recomputed from the game rather
-  than read off the MILP objective;
+* an exact mixed-integer program.  Each battlefield's payoff against the
+  mixture is piecewise linear in its allocation, and gets the incremental
+  model of such a function (segments filled left to right, one binary
+  between two consecutive segments), which is locally ideal (Vielma, Ahmed
+  & Nemhauser 2010, Oper. Res. 58(2)).  :func:`build_best_response_milp`
+  lists the nonzeros and row bounds block by block, directly in the form
+  HiGHS takes (a sparse CSC row matrix, see :mod:`.milp`), and the answer's
+  value is the utility of the returned allocation, recomputed from the game
+  rather than read off the MILP objective;
 * exhaustive enumeration over the grid of allocations in multiples of a grid
   spacing ``c``: a :class:`FinitePointOracle` over :func:`simplex_grid`.
 """
@@ -42,8 +42,8 @@ from .oracles import FinitePointOracle, OracleAnswer
 
 MILP_ACCURACY = 1e-6
 ENUMERATION_LIMIT = 10**6
-# Support size above which the MILP grows unwieldy and enumeration is likely
-# the better oracle (for small n).
+# Opponent support times battlefields above which the MILP grows unwieldy
+# and enumeration is likely the better oracle (for small n).
 MILP_SIZE_WARNING = 200
 
 
@@ -155,85 +155,80 @@ def _opponent_matrix(opponent: FiniteMixedStrategy, game: BlottoGame) -> tuple[n
     return atoms, opponent.weights_array()
 
 
+@dataclass(frozen=True)
+class BlottoMilp(MilpModel):
+    """The best-response MILP plus its allocation readout.
+
+    ``spend @ solution`` is the allocation: row ``j`` holds each segment
+    length ``L_s`` at battlefield ``j``'s fill columns.
+    """
+
+    spend: np.ndarray | None = None
+
+
 def build_best_response_milp(
     opponent: FiniteMixedStrategy, game: BlottoGame
-) -> MilpModel:
+) -> BlottoMilp:
     """MILP whose optimum is player 1's exact best response to ``opponent``.
 
-    Variable layout: allocations ``x`` (n), then per opponent-atom/battlefield
-    pair ``i * n + j`` the hinge variables ``s`` (kn) and ``t`` (kn) and their
-    indicator binaries ``z`` (kn) and ``w`` (kn).  Row 0 spends the budget;
-    each pair then owns six consecutive rows, in this order::
+    Battlefield ``j`` pays ``f_j(x_j) = a_j sum_i w_i l(x_j - y_ij)``, linear
+    between the sorted, distinct breakpoints ``{0, 1, y_ij +- c}`` in
+    ``[0, 1]``.  Segment ``s`` of length ``L_s > 0`` and rise ``df_s`` gets a
+    fill fraction ``lambda_s`` in [0, 1] (the first columns, battlefield by
+    battlefield, left to right), and each pair of consecutive segments of
+    one battlefield gets a binary ``z`` (the last columns).  Row 0 spends
+    the budget, ``sum_s L_s lambda_s = 1``; pair ``q`` of segments
+    ``(s, s + 1)`` then owns two rows, in this order::
 
-        s - x_j/c                 >= 1 - y_ij/c
-        s - x_j/c + (1/c - 1) z   <= 1/c - y_ij/c
-        s         - (1/c + 1) z   <= 0
-        t - x_j/c                 >= -1 - y_ij/c
-        t - x_j/c + (1/c + 1) w   <= 1/c - y_ij/c
-        t         - (1/c - 1) w   <= 0
+        lambda_s     - z_q >= 0
+        lambda_{s+1} - z_q <= 0
 
-    At any feasible integral point ``s - t - 1`` equals the contest score of
-    the pair, so the objective is the true expected utility of ``x``.
+    so a segment is entered only once the one before it is full.  The
+    objective ``sum_s df_s lambda_s`` plus ``offset = sum_j f_j(0)`` is the
+    expected utility of the allocation ``x_j = sum_{s in j} L_s lambda_s``
+    (see :class:`BlottoMilp`).  Apart from ``L_s`` in row 0 every
+    coefficient is +-1, so breakpoints a rounding error apart give neither
+    tiny coefficients nor huge slopes.
     """
     atoms, weights = _opponent_matrix(opponent, game)
-    k, n = atoms.shape
-    kn = k * n
-    inv = 1.0 / game.c
-    m_narrow = inv - 1.0  # bounds the inactive side of the s-hinge, active of t
-    m_wide = inv + 1.0
-    y = atoms.ravel()
-    lift = 1.0 - y * inv  # (x - y + c)/c evaluated at x = 0
-    drop = -1.0 - y * inv  # (x - y - c)/c evaluated at x = 0
+    n, c = game.n, game.c
+    ends = np.vstack((atoms - c, atoms + c, np.zeros(n), np.ones(n)))
+    points = np.sort(np.clip(ends, 0.0, 1.0), axis=0)  # points[0] is 0 on every field
+    payoff = np.column_stack([  # f_j at each of its points
+        game.a[j] * (np.clip((points[:, j, None] - atoms[:, j]) / c, -1.0, 1.0) @ weights)
+        for j in range(n)
+    ])
+    segment = (points[1:] > points[:-1]).T  # drops the repeats
+    field = np.nonzero(segment)[0]
+    length = np.diff(points, axis=0).T[segment]
+    left = np.flatnonzero(field[:-1] == field[1:])  # the first segment of each pair
+    segments, pairs = length.size, left.size
+    z = segments + np.arange(pairs)
+    nvars = segments + pairs
 
-    pair = np.arange(kn)
-    x = np.tile(np.arange(n), k)  # the allocation column of each pair
-    s, t, z, w = (n + block * kn + pair for block in range(4))
-    nvars = n + 4 * kn
-
-    objective = np.zeros(nvars)
-    coef = np.outer(weights, np.asarray(game.a)).ravel()
-    objective[s] = coef
-    objective[t] = -coef
-
-    first = 1 + 6 * pair
-    entries = [(np.zeros(n, dtype=int), np.arange(n), np.ones(n))]  # the budget row
-    for q, var, value in (
-        (0, s, 1.0), (0, x, -inv),
-        (1, s, 1.0), (1, x, -inv), (1, z, m_narrow),
-        (2, s, 1.0), (2, z, -m_wide),
-        (3, t, 1.0), (3, x, -inv),
-        (4, t, 1.0), (4, x, -inv), (4, w, m_wide),
-        (5, t, 1.0), (5, w, -m_narrow),
-    ):
-        entries.append((first + q, var, np.full(kn, value)))
-    row, col, data = (np.concatenate(part) for part in zip(*entries))
-    keep = data != 0.0  # m_narrow is 0 at c = 1; a dense matrix stores no zeros
-    # Canonical CSC (sorted int32 indices, no zeros) is what scipy.optimize.milp
-    # makes of the equivalent dense matrix, so HiGHS gets the same input.
-    rows = csc_array(
-        (data[keep], (row[keep].astype(np.int32), col[keep].astype(np.int32))),
-        shape=(1 + 6 * kn, nvars),
+    first, second, one = 1 + 2 * np.arange(pairs), 2 + 2 * np.arange(pairs), np.ones(pairs)
+    entries = (
+        (np.zeros(segments, dtype=int), np.arange(segments), length),  # the budget
+        (first, left, one), (first, z, -one),  # lambda_s - z >= 0
+        (second, left + 1, one), (second, z, -one),  # lambda_{s+1} - z <= 0
     )
-    row_lower = np.full((kn, 6), -np.inf)
-    row_upper = np.full((kn, 6), np.inf)
-    row_lower[:, 0] = lift
-    row_upper[:, 1] = lift + m_narrow
-    row_upper[:, 2] = 0.0
-    row_lower[:, 3] = drop
-    row_upper[:, 4] = drop + m_wide
-    row_upper[:, 5] = 0.0
-
-    upper = np.full(nvars, np.inf)
-    upper[:n] = 1.0
-    upper[n + 2 * kn :] = 1.0  # covers both binary blocks
-    return MilpModel(
-        objective=objective,
+    row, col, data = (np.concatenate(part) for part in zip(*entries))
+    # Canonical CSC (sorted int32 indices) is what scipy.optimize.milp makes
+    # of the equivalent dense matrix, so HiGHS gets the same input.
+    rows = csc_array(
+        (data, (row.astype(np.int32), col.astype(np.int32))), shape=(1 + 2 * pairs, nvars)
+    )
+    spend = np.zeros((n, nvars))
+    spend[field, np.arange(segments)] = length
+    return BlottoMilp(
+        objective=np.concatenate((np.diff(payoff, axis=0).T[segment], np.zeros(pairs))),
         rows=rows,
-        row_lower=np.concatenate(([1.0], row_lower.ravel())),
-        row_upper=np.concatenate(([1.0], row_upper.ravel())),
-        upper=upper,
-        binary=np.arange(nvars) >= n + 2 * kn,
-        offset=-float(np.sum(game.a)),
+        row_lower=np.concatenate(([1.0], np.tile([0.0, -np.inf], pairs))),
+        row_upper=np.concatenate(([1.0], np.tile([np.inf, 0.0], pairs))),
+        upper=np.ones(nvars),
+        binary=np.arange(nvars) >= segments,
+        offset=float(payoff[0].sum()),
+        spend=spend,
     )
 
 
@@ -252,7 +247,7 @@ def milp_best_response(
     atoms, weights = _opponent_matrix(opponent, game)
     model = build_best_response_milp(opponent, game)
     solution = solve_milp(model, **milp_options)
-    x = np.clip(solution.x[: game.n], 0.0, None)
+    x = np.clip(model.spend @ solution.x, 0.0, None)
     x /= x.sum()
     value = float(blotto_utility(x, atoms, game) @ weights)
     return OracleAnswer(StrategyPoint(tuple(float(v) for v in x)), value)

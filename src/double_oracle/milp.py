@@ -60,11 +60,10 @@ def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSo
 
     "Optimal" is within HiGHS's default absolute gap of 1e-6 (see the module
     docstring).  HiGHS presolve can end in "Solve error" on a model that
-    solves without it (the Blotto best response to the dirac at
-    (0.5, 0.25, 0.25) with c = 1/8 is one), so that status is retried once
-    with presolve off.  Exceeding ``node_limit`` raises
-    :class:`ResourceLimitError` carrying the best incumbent (or None) and the
-    proved bound; any other non-optimal end raises :class:`ModelError`.
+    solves without it, so that status is retried once with presolve off.
+    Exceeding ``node_limit`` raises :class:`ResourceLimitError` carrying the
+    best incumbent (or None) and the proved bound; any other non-optimal end
+    raises :class:`ModelError`.
     """
     options = {"mip_rel_gap": 0.0, "node_limit": node_limit}
 

@@ -5,7 +5,7 @@ Each test prints exactly one ``criterion N: PASS/FAIL`` line (visible with
 as the acceptance summary.  Tolerances are pinned literally in each test.
 """
 
-import dataclasses
+import itertools
 import time
 
 import numpy as np
@@ -165,36 +165,40 @@ def test_criterion_5_milp_dominates_enumeration():
     ))
 
 
-def hinge_from_rows(model, x, var, binary, rows, z_value):
-    """Feasible interval for one hinge variable given its binary's value."""
-    lo, hi = 0.0, np.inf
-    for r in rows:
-        coef = model.rows[r, var]
-        if coef == 0.0:
+def fill_points(model, rows, budget, x_j, fills):
+    """The fill fractions of one battlefield at x_j, per binary assignment.
+
+    ``fills`` are the battlefield's fraction columns and ``budget`` their
+    segment lengths.  Each fill-order row bounds one fraction by one binary;
+    fixing the binaries leaves a box that ``budget @ fill == x_j`` cuts.
+    Returns the point of each assignment that the rows admit, and fails if
+    an admitted assignment leaves more than one point.
+    """
+    body = [r for r in range(1, rows.shape[0]) if rows[r, fills].any()]
+    binaries = np.flatnonzero(model.binary & rows[body].any(axis=0))
+    points = []
+    for z_values in itertools.product((0.0, 1.0), repeat=binaries.size):
+        lo, hi = np.zeros(fills.size), model.upper[fills].copy()
+        for r in body:
+            (s,) = np.flatnonzero(rows[r, fills])
+            assert rows[r, fills[s]] == 1.0
+            shift = rows[r, binaries] @ z_values
+            lo[s] = max(lo[s], model.row_lower[r] - shift)
+            hi[s] = min(hi[s], model.row_upper[r] - shift)
+        if np.any(lo > hi) or not budget @ lo - 1e-12 <= x_j <= budget @ hi + 1e-12:
             continue
-        assert coef == 1.0
-        # every hinge row is one-sided: a lower bound (>=) or an upper one (<=)
-        at_least = np.isfinite(model.row_lower[r])
-        rhs = model.row_lower[r] if at_least else model.row_upper[r]
-        residual = float(rhs - model.rows[r, :3] @ x - model.rows[r, binary] * z_value)
-        if at_least:
-            lo = max(lo, residual)
+        free = np.flatnonzero(hi - lo > 1e-12)
+        if abs(x_j - budget @ lo) <= 1e-12:
+            fill = lo
+        elif abs(x_j - budget @ hi) <= 1e-12:
+            fill = hi
         else:
-            hi = min(hi, residual)
-    return lo, hi
-
-
-def resolve_hinge(model, x, var, binary, rows):
-    """The unique feasible hinge value across both binary assignments."""
-    values = []
-    for z_value in (0.0, 1.0):
-        lo, hi = hinge_from_rows(model, x, var, binary, rows, z_value)
-        if lo <= hi + 1e-12:
-            assert hi - lo <= 1e-9, f"hinge not pinned: [{lo}, {hi}]"
-            values.append(lo)
-    assert values, "no feasible binary assignment"
-    assert max(values) - min(values) <= 1e-9, f"ambiguous hinge: {values}"
-    return values[0]
+            assert free.size == 1, f"fill not pinned: {free.size} free fractions"
+            fill = lo.copy()
+            fill[free] += (x_j - budget @ lo) / budget[free]
+        points.append(fill)
+    assert points, "no feasible binary assignment"
+    return points
 
 
 def test_criterion_6_linearization_is_exact():
@@ -207,24 +211,18 @@ def test_criterion_6_linearization_is_exact():
         y = rng.dirichlet(np.ones(3))
         x = rng.dirichlet(np.ones(3))
         model = build_best_response_milp(dirac(point(*y)), game)
-        model = dataclasses.replace(model, rows=model.rows.toarray())
+        rows = model.rows.toarray()
+        at_zero = [l_eval(-y[j], c) for j in range(3)]
+        worst = max(worst, abs(model.offset - sum(at_zero)))
         for j in range(3):
-            rows = range(1 + 6 * j, 7 + 6 * j)
-            s = resolve_hinge(model, x, 3 + j, 9 + j, rows)
-            t = resolve_hinge(model, x, 6 + j, 12 + j, rows)
-            s_want = max(0.0, (x[j] - y[j] + c) / c)
-            t_want = max(0.0, (x[j] - y[j] - c) / c)
-            score = l_eval(x[j] - y[j], c)
-            worst = max(
-                worst,
-                abs(s - s_want),
-                abs(t - t_want),
-                abs((s - t - 1.0) - score),
-            )
+            fills = np.flatnonzero(model.spend[j])
+            for fill in fill_points(model, rows, rows[0, fills], x[j], fills):
+                piece = model.objective[fills] @ fill + at_zero[j]
+                worst = max(worst, abs(piece - l_eval(x[j] - y[j], c)))
             checked += 1
     ok = worst <= 1e-9
     report(6, ok, (
-        f"{checked} hinge pairs from 200 random models: max deviation "
+        f"{checked} battlefields from 200 random models: max deviation "
         f"{worst:.2e} from the exact contest score (tol 1e-9)"
     ))
 

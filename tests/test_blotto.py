@@ -138,95 +138,131 @@ def test_grid_enumeration_budget():
 # ----------------------------------------------------------- MILP builder
 
 def test_model_dimensions():
+    # every battlefield breaks at 1/3 -+ 1/16: 3 segments and 2 binaries each
     model = build_best_response_milp(dirac(point(1 / 3, 1 / 3, 1 / 3)), GAME_16)
-    n, kn = 3, 3
-    assert model.objective.size == n + 4 * kn
-    assert tuple(np.flatnonzero(model.binary)) == tuple(range(n + 2 * kn, n + 4 * kn))
-    assert model.rows.shape == (1 + 6 * kn, n + 4 * kn)
-    assert model.row_lower.size == model.row_upper.size == 1 + 6 * kn
+    assert model.objective.size == 9 + 6
+    assert tuple(np.flatnonzero(model.binary)) == tuple(range(9, 15))
+    assert model.rows.shape == (1 + 2 * 6, 15)
+    assert model.row_lower.size == model.row_upper.size == 1 + 2 * 6
+    assert model.spend.shape == (3, 15)
 
+    # fields 0 and 1 break at 1/16 and 15/16, field 2 only at 1/16
     two_atoms = merge_duplicates([point(1.0, 0, 0), point(0.0, 1, 0)], [0.5, 0.5])
     wide = build_best_response_milp(two_atoms, GAME_16)
-    assert wide.objective.size == 3 + 4 * 6
-    assert np.count_nonzero(wide.binary) == 2 * 6
-
-
-def test_model_big_m_constants():
-    # 1/c = 16 gives hinge caps of 15 on the narrow side and 17 on the wide
-    model = build_best_response_milp(dirac(point(0.5, 0.25, 0.25)), GAME_16)
-    kn = 3
-    rows = model.rows.toarray()
-    z_cols = rows[:, 3 + 2 * kn : 3 + 3 * kn]
-    w_cols = rows[:, 3 + 3 * kn :]
-    assert set(np.unique(z_cols[z_cols != 0])) == {15.0, -17.0}
-    assert set(np.unique(w_cols[w_cols != 0])) == {17.0, -15.0}
+    assert wide.objective.size == 8 + 5
+    assert np.count_nonzero(wide.binary) == 5
 
 
 def test_model_objective_matches_weighted_values():
+    # f_0(x) = 0.25 l(x - 1) + 0.75 l(x), f_1(x) = 2 l(x), and
+    # f_2(x) = 3 (0.25 l(x) + 0.75 l(x - 1)), at their breakpoints
     weighted = BlottoGame(3, (1.0, 2.0, 3.0), 0.125)
     mix = merge_duplicates([point(1.0, 0, 0), point(0.0, 0, 1)], [0.25, 0.75])
     model = build_best_response_milp(mix, weighted)
-    kn = 6
-    s_part = model.objective[3 : 3 + kn]
     np.testing.assert_allclose(
-        s_part, [0.25 * 1, 0.25 * 2, 0.25 * 3, 0.75 * 1, 0.75 * 2, 0.75 * 3]
+        model.objective,
+        [0.75, 0.0, 0.25, 2.0, 0.0, 0.75, 0.0, 2.25] + [0.0] * 5,
+        atol=1e-15,
     )
-    np.testing.assert_allclose(model.objective[3 + kn : 3 + 2 * kn], -s_part)
-    assert model.offset == -6.0
+    assert model.offset == pytest.approx(-0.25 + 0.0 - 2.25, abs=1e-15)
 
 
-def reference_rows(atoms, game):
-    """The model's rows and row bounds, built one atom/battlefield pair at a time."""
-    k, n = atoms.shape
-    kn, inv = k * n, 1.0 / game.c
-    rows = np.zeros((1 + 6 * kn, n + 4 * kn))
-    lower = np.full(1 + 6 * kn, -np.inf)
-    upper = np.full(1 + 6 * kn, np.inf)
-    rows[0, :n] = 1.0
-    lower[0] = upper[0] = 1.0
-    for i in range(k):
-        for j in range(n):
-            p = i * n + j
-            s, t, z, w = (n + b * kn + p for b in range(4))
-            lift, drop = 1.0 - atoms[i, j] * inv, -1.0 - atoms[i, j] * inv
-            r = 1 + 6 * p
-            rows[r, [s, j]] = 1.0, -inv
-            lower[r] = lift
-            rows[r + 1, [s, j, z]] = 1.0, -inv, inv - 1.0
-            upper[r + 1] = lift + (inv - 1.0)
-            rows[r + 2, [s, z]] = 1.0, -(inv + 1.0)
-            upper[r + 2] = 0.0
-            rows[r + 3, [t, j]] = 1.0, -inv
-            lower[r + 3] = drop
-            rows[r + 4, [t, j, w]] = 1.0, -inv, inv + 1.0
-            upper[r + 4] = drop + (inv + 1.0)
-            rows[r + 5, [t, w]] = 1.0, -(inv - 1.0)
-            upper[r + 5] = 0.0
+def reference_segments(opponent, game):
+    """Breakpoints, segment rises and f_j(0), one battlefield at a time."""
+    atoms, weights = opponent.atoms_array(), opponent.weights_array()
+    fields = []
+    for j in range(game.n):
+        def f(v):
+            return game.a[j] * math.fsum(
+                w * l_eval(v - y, game.c) for y, w in zip(atoms[:, j], weights)
+            )
+
+        inside = {v for y in atoms[:, j] for v in (y - game.c, y + game.c) if 0.0 < v < 1.0}
+        cuts = sorted(inside | {0.0, 1.0})
+        fields.append((cuts, [f(b) - f(a) for a, b in zip(cuts, cuts[1:])], f(0.0)))
+    return fields
+
+
+def reference_rows(fields):
+    """Dense budget and fill-order rows with their bounds, field by field."""
+    lengths = [np.diff(cuts) for cuts, _, _ in fields]
+    segments = sum(len(seg) for seg in lengths)
+    pairs = segments - len(fields)
+    rows = np.zeros((1 + 2 * pairs, segments + pairs))
+    lower = np.r_[1.0, np.zeros(2 * pairs)]
+    upper = np.r_[1.0, np.zeros(2 * pairs)]
+    rows[0, :segments] = np.concatenate(lengths)
+    first, q = 0, 0
+    for seg in lengths:
+        for s in range(first, first + len(seg) - 1):
+            z = segments + q
+            rows[1 + 2 * q, [s, z]] = 1.0, -1.0  # lambda_s >= z
+            upper[1 + 2 * q] = np.inf
+            rows[2 + 2 * q, [s + 1, z]] = 1.0, -1.0  # lambda_{s+1} <= z
+            lower[2 + 2 * q] = -np.inf
+            q += 1
+        first += len(seg)
     return rows, lower, upper
 
 
-def test_model_rows_match_a_per_pair_reference():
+def random_mixtures(rng, n, count):
+    """Dirichlet mixtures and lattice ones with double oracle's 1e-16 noise."""
+    for trial in range(count):
+        k = int(rng.integers(1, 7))
+        if trial % 2:
+            atoms = rng.dirichlet(np.ones(n), size=k)
+        else:
+            steps = int(rng.choice([4, 8, 16]))
+            cuts = np.sort(rng.integers(0, steps + 1, size=(k, n - 1)), axis=1)
+            atoms = np.diff(np.c_[np.zeros(k), cuts, np.full(k, steps)], axis=1) / steps
+            atoms = np.clip(atoms + rng.integers(-2, 3, size=atoms.shape) * 1e-16, 0.0, None)
+            atoms /= atoms.sum(axis=1, keepdims=True)
+        yield merge_duplicates([point(*a) for a in atoms], rng.dirichlet(np.ones(k)))
+
+
+def test_model_segments_match_a_per_battlefield_reference():
     rng = np.random.default_rng(31)
-    for c in (1 / 8, 1 / 10, 1 / 16, float(rng.uniform(0.05, 1.0))):
-        for support in (1, 3, 6):
-            atoms = [allocation(rng.dirichlet(np.ones(3))) for _ in range(support)]
-            mix = merge_duplicates(atoms, rng.dirichlet(np.ones(support)))
-            game = BlottoGame(3, (1.0, 1.0, 1.0), c)
+    for c in (1 / 8, 1 / 10, 1 / 16, 0.3, 1.0):
+        game = BlottoGame(3, tuple(rng.uniform(0.5, 1.5, 3)), c)
+        for mix in random_mixtures(rng, 3, 6):
             model = build_best_response_milp(mix, game)
-            rows, lower, upper = reference_rows(mix.atoms_array(), game)
+            fields = reference_segments(mix, game)
+            budget = model.rows.toarray()[0]
+            columns = [np.flatnonzero(row) for row in model.spend]
+            assert np.array_equal(np.concatenate(columns), np.flatnonzero(~model.binary))
+            for (cuts, rises, _), spend, col in zip(fields, model.spend, columns):
+                length = spend[col]
+                assert np.all(length > 0.0)
+                assert np.array_equal(length, np.diff(cuts))
+                assert np.array_equal(budget[col], length)
+                np.testing.assert_allclose(np.r_[0.0, np.cumsum(length)], cuts, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(model.objective[col], rises, rtol=0, atol=1e-12)
+            assert model.offset == pytest.approx(math.fsum(f0 for _, _, f0 in fields), abs=1e-12)
+
+
+def test_model_rows_match_a_per_battlefield_reference():
+    rng = np.random.default_rng(32)
+    for c in (1 / 8, 1 / 16, float(rng.uniform(0.05, 1.0))):
+        game = BlottoGame(3, (1.0, 1.0, 1.0), c)
+        for mix in random_mixtures(rng, 3, 6):
+            model = build_best_response_milp(mix, game)
+            rows, lower, upper = reference_rows(reference_segments(mix, game))
             assert np.array_equal(model.rows.toarray(), rows)
             assert np.array_equal(model.row_lower, lower)
             assert np.array_equal(model.row_upper, upper)
+            segments = rows.shape[1] - (rows.shape[0] - 1) // 2
+            assert np.array_equal(model.binary, np.arange(rows.shape[1]) >= segments)
+            assert np.array_equal(model.upper, np.ones(rows.shape[1]))
 
 
-@pytest.mark.parametrize("c", [1 / 8, 1.0])  # at c = 1 the narrow big-M is 0
+@pytest.mark.parametrize("c", [1 / 8, 1.0])  # at c = 1 no field breaks inside (0, 1)
 def test_model_rows_are_what_milp_makes_of_dense_rows(c):
     # scipy.optimize.milp converts dense rows with csc_array: HiGHS gets the
     # same arrays from the sparse build.
     mix = merge_duplicates([point(0.5, 0.25, 0.25), point(0.0, 0.5, 0.5)], [0.5, 0.5])
     game = BlottoGame(3, (1.0, 1.0, 1.0), c)
     model = build_best_response_milp(mix, game)
-    dense = csc_array(reference_rows(mix.atoms_array(), game)[0])
+    dense = csc_array(reference_rows(reference_segments(mix, game))[0])
     for part in ("indptr", "indices", "data"):
         got, want = getattr(model.rows, part), getattr(dense, part)
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -265,7 +301,7 @@ def test_milp_value_equals_true_utility_off_grid():
 
 def test_milp_value_is_the_utility_of_its_allocation():
     # On this dirac the MILP objective overstates the allocation's utility
-    # by 1e-6, all of MILP_ACCURACY; the answer must report the utility.
+    # by 2e-6, more than MILP_ACCURACY; the answer must report the utility.
     opponent = dirac(point(0.25, 0.0625, 0.6875))
     ans = milp_best_response(opponent, GAME_16)
     assert ans.value == pytest.approx(true_value(ans.point, opponent, GAME_16), abs=1e-12)
@@ -310,6 +346,39 @@ def test_milp_matches_exact_best_response_on_mixed_opponents():
             exact = exact_best_value(mix, game)
             ans = milp_best_response(mix, game)
             assert exact - MILP_ACCURACY <= ans.value <= exact + 1e-12
+
+
+def assert_oracles_exact(mix, game):
+    exact = exact_best_value(mix, game)
+    for player, sign in ((1, 1.0), (2, -1.0)):
+        value = sign * BlottoMilpOracle(game, player).respond(mix).value
+        assert exact - MILP_ACCURACY <= value <= exact + 1e-12, (player, exact, value)
+
+
+def test_milp_is_exact_on_a_near_lattice_mixture():
+    # Double oracle hands the MILP atoms like these: lattice points a few ulps
+    # off, so two breakpoints of a field lie 1.7e-16 apart.
+    mix = FiniteMixedStrategy(
+        (
+            point(0.375, 0.5, 0.125),
+            point(0.25000000000000017, 0.6249999999999998, 0.125),
+            point(0.625, 0.25, 0.125),
+            point(0.5, 0.25, 0.25),
+            point(0.0, 0.875, 0.125),
+            point(0.5, 0.125, 0.375),
+        ),
+        (0.06, 0.41, 0.06, 0.26, 0.16, 0.05),
+    )
+    assert_oracles_exact(mix, GAME_8)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_milp_is_exact_near_breakpoints(n):
+    rng = np.random.default_rng(40 + n)
+    for c in (1 / 8, 1 / 16, 0.1, 0.3, 1.0):
+        game = BlottoGame(n, (1.0,) * n, c)
+        for mix in random_mixtures(rng, n, 4):
+            assert_oracles_exact(mix, game)
 
 
 def test_enumeration_prefers_lexicographically_smallest():

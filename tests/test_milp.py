@@ -1,7 +1,9 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import milp as scipy_milp
 
 from double_oracle import (
     BlottoGame,
@@ -16,6 +18,7 @@ from double_oracle import (
     point,
     solve_milp,
 )
+from double_oracle import milp
 
 
 def model(objective, rows, row_upper, binary=()):
@@ -79,11 +82,13 @@ def test_integral_relaxation_needs_one_node():
 
 
 def test_node_limit_raises_with_partial_progress():
-    # HiGHS closes small knapsacks at the root, so use a Blotto best
-    # response that needs branching.
+    # HiGHS closes small knapsacks, and most Blotto best responses, at the
+    # root; this one still branches.
     game = BlottoGame(n=3, a=(1.0, 1.0, 1.0), c=0.0625)
     mix = merge_duplicates(
-        [point(0.7, 0.2, 0.1), point(0.15, 0.35, 0.5)], [0.4, 0.6]
+        [point(0.31, 0.15, 0.54), point(0.53, 0.39, 0.08), point(0.0, 0.81, 0.19),
+         point(0.47, 0.3, 0.23)],
+        [0.18, 0.52, 0.08, 0.22],
     )
     m = build_best_response_milp(mix, game)
     optimum = objective_at(m, solve_milp(m).x)
@@ -109,12 +114,23 @@ def test_unbounded_continuous_part():
         solve_milp(unbounded)
 
 
-def test_presolve_failure_is_retried():
-    # HiGHS presolve ends this model in "Solve error"; without presolve it
-    # solves.  Winning two fields outright against (0.5, 0.25, 0.25) pays 1.
+def test_presolve_failure_is_retried(monkeypatch):
+    # HiGHS presolve can end a model that solves without it in "Solve
+    # error" (status 4); the stub fails the first call that way.
+    calls = []
+
+    def flaky_milp(*args, **kwargs):
+        calls.append(kwargs["options"])
+        if len(calls) == 1:
+            return SimpleNamespace(status=4, mip_node_count=0, message="Solve error")
+        return scipy_milp(*args, **kwargs)
+
+    monkeypatch.setattr(milp, "_scipy_milp", flaky_milp)
+    # Winning two fields outright against (0.5, 0.25, 0.25) pays 1.
     game = BlottoGame(n=3, a=(1.0, 1.0, 1.0), c=0.125)
     opponent = dirac(point(0.5, 0.25, 0.25))
     ans = milp_best_response(opponent, game)
+    assert [options.get("presolve") for options in calls] == [None, False]
     assert ans.value == pytest.approx(1.0, abs=1e-9)
     paid = blotto_utility(np.asarray(ans.point.coords), opponent.atoms[0].array(), game)
     assert float(paid) == ans.value
