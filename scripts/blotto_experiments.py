@@ -13,7 +13,7 @@ The default set finishes in a few seconds:
 ``--heavy`` appends a double-oracle run that calls the MILP oracle every
 iteration, from the corners at c = 1/8 to epsilon = 1e-3.  Each response
 solves a MILP whose size grows with the opponent's support; the run closes
-the gap in 15 iterations, in about a second.
+the gap in 20 iterations, in about a second.
 """
 
 import argparse

@@ -37,10 +37,11 @@ from .core import (
     StrategyPoint,
 )
 from .errors import DomainError, ParameterError, ResourceLimitError
-from .milp import MilpModel, solve_milp
+from .milp import MIP_ABS_GAP, MilpModel, solve_milp
 from .oracles import FinitePointOracle, OracleAnswer
 
-MILP_ACCURACY = 1e-6
+# HiGHS stops within this absolute gap of the optimum.
+MILP_ACCURACY = MIP_ABS_GAP
 ENUMERATION_LIMIT = 10**6
 # Opponent support times battlefields above which the MILP grows unwieldy
 # and enumeration is likely the better oracle (for small n).
@@ -213,8 +214,8 @@ def build_best_response_milp(
         (second, left + 1, one), (second, z, -one),  # lambda_{s+1} - z <= 0
     )
     row, col, data = (np.concatenate(part) for part in zip(*entries))
-    # Canonical CSC (sorted int32 indices) is what scipy.optimize.milp makes
-    # of the equivalent dense matrix, so HiGHS gets the same input.
+    # Canonical CSC (sorted int32 indices) is what solve_milp makes of the
+    # equivalent dense matrix, so HiGHS gets the same input.
     rows = csc_array(
         (data, (row.astype(np.int32), col.astype(np.int32))), shape=(1 + 2 * pairs, nvars)
     )

@@ -1,4 +1,4 @@
-"""Mixed 0/1 linear programs, solved by HiGHS through ``scipy.optimize.milp``.
+"""Mixed 0/1 linear programs, solved by HiGHS through scipy's private binding.
 
 A :class:`MilpModel` is stated in the form HiGHS takes, as a maximization::
 
@@ -7,10 +7,11 @@ A :class:`MilpModel` is stated in the form HiGHS takes, as a maximization::
          0 <= x <= upper,  x[binary] in {0, 1}
 
 The models are built inside the package (the Blotto best response in
-:mod:`.blotto`), so none is validated here.  :func:`solve_milp` hands a model
-to HiGHS with a zero relative optimality gap.  ``scipy.optimize.milp`` does
-not expose HiGHS's absolute gap, so that stays at its default of 1e-6: an
-optimal answer may lie up to 1e-6 below the optimum.
+:mod:`.blotto`), so none is validated here.  :func:`solve_milp` passes a
+model to a ``scipy.optimize._highspy._core._Highs`` instance, the binding
+:mod:`.matrix_game` uses for the subgame LP, with a zero relative gap and an
+absolute gap of :data:`MIP_ABS_GAP`: an optimal answer may lie up to that
+far below the optimum.
 """
 
 from __future__ import annotations
@@ -18,16 +19,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint
-from scipy.optimize import milp as _scipy_milp
+from scipy.optimize._highspy._core import (
+    HighsLp,
+    HighsModelStatus,
+    HighsVarType,
+    MatrixFormat,
+    _Highs,
+)
+from scipy.sparse import csc_array
 
 from .errors import ModelError, ResourceLimitError
 
 DEFAULT_NODE_LIMIT = 10**6
 
-# scipy.optimize.milp statuses.  An exhausted node budget, which HiGHS
-# reports as "Solution limit reached", arrives as _OTHER like a solve error.
-_OPTIMAL, _OTHER = 0, 4
+# HiGHS's absolute optimality gap (its default), set explicitly.
+MIP_ABS_GAP = 1e-6
+
+# The models built here are small (tens of columns) and close at the root
+# node, where HiGHS's presolve and these primal heuristics cost more than
+# they save.  Presolve off also keeps HiGHS's MIP postsolve, which can write
+# to stdout, from running.  A run that ends non-optimal under these options
+# is repeated once without them.
+SMALL_MODEL_OPTIONS = {
+    "presolve": "off",
+    "mip_heuristic_run_feasibility_jump": False,
+    "mip_heuristic_run_rins": False,
+    "mip_heuristic_run_root_reduced_cost": False,
+}
 
 
 @dataclass(frozen=True)
@@ -55,39 +73,70 @@ class MilpSolution:
     nodes: int
 
 
+def _highs_lp(model: MilpModel) -> HighsLp:
+    """``model`` as HiGHS's minimization of ``-objective``, without the offset."""
+    rows = csc_array(model.rows)
+    lp = HighsLp()
+    lp.num_row_, lp.num_col_ = rows.shape
+    lp.col_cost_ = -np.asarray(model.objective, dtype=float)
+    lp.col_lower_ = np.zeros(lp.num_col_)
+    lp.col_upper_ = np.asarray(model.upper, dtype=float)
+    lp.row_lower_ = np.asarray(model.row_lower, dtype=float)
+    lp.row_upper_ = np.asarray(model.row_upper, dtype=float)
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = rows.shape
+    lp.a_matrix_.start_ = rows.indptr
+    lp.a_matrix_.index_ = rows.indices
+    lp.a_matrix_.value_ = rows.data
+    lp.integrality_ = [
+        HighsVarType.kInteger if b else HighsVarType.kContinuous for b in model.binary
+    ]
+    return lp
+
+
+def _run(lp: HighsLp, node_limit: int, options: dict) -> _Highs:
+    highs = _Highs()
+    for name, value in {
+        "output_flag": False,
+        "mip_rel_gap": 0.0,
+        "mip_abs_gap": MIP_ABS_GAP,
+        "mip_max_nodes": node_limit,
+        **options,
+    }.items():
+        highs.setOptionValue(name, value)
+    highs.passModel(lp)
+    highs.run()
+    return highs
+
+
 def solve_milp(model: MilpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> MilpSolution:
     """Maximize the model over binary assignments of its ``binary`` variables.
 
-    "Optimal" is within HiGHS's default absolute gap of 1e-6 (see the module
-    docstring).  HiGHS presolve can end in "Solve error" on a model that
-    solves without it, so that status is retried once with presolve off.
+    "Optimal" is within :data:`MIP_ABS_GAP` (see the module docstring).  The
+    first run uses :data:`SMALL_MODEL_OPTIONS`; one that ends neither optimal
+    nor at the node limit is repeated once with HiGHS's defaults for them.
     Exceeding ``node_limit`` raises :class:`ResourceLimitError` carrying the
     best incumbent (or None) and the proved bound; any other non-optimal end
-    raises :class:`ModelError`.
+    raises :class:`ModelError` naming HiGHS's model status.
     """
-    options = {"mip_rel_gap": 0.0, "node_limit": node_limit}
+    lp = _highs_lp(model)
+    highs = _run(lp, node_limit, SMALL_MODEL_OPTIONS)
+    status = highs.getModelStatus()
+    if status not in (HighsModelStatus.kOptimal, HighsModelStatus.kSolutionLimit):
+        highs = _run(lp, node_limit, {})
+        status = highs.getModelStatus()
 
-    def run(**extra):
-        res = _scipy_milp(
-            -model.objective,
-            integrality=model.binary,
-            bounds=Bounds(0.0, model.upper),
-            constraints=LinearConstraint(model.rows, model.row_lower, model.row_upper),
-            options={**options, **extra},
-        )
-        return res, int(res.mip_node_count or 0)
-
-    res, nodes = run()
-    if res.status == _OTHER and nodes < node_limit:
-        res, nodes = run(presolve=False)
-
-    if res.status == _OPTIMAL:
-        return MilpSolution(res.x, nodes)
-    if nodes >= node_limit:
-        bound = model.offset - float(res.mip_dual_bound)
+    info = highs.getInfo()
+    solution = highs.getSolution()
+    x = np.asarray(solution.col_value) if solution.value_valid else None
+    if status == HighsModelStatus.kOptimal:
+        # HiGHS counts -1 nodes for a model without binaries.
+        return MilpSolution(x, max(int(info.mip_node_count), 0))
+    if status == HighsModelStatus.kSolutionLimit:
+        bound = model.offset - float(info.mip_dual_bound)
         raise ResourceLimitError(
             f"branch-and-bound node limit {node_limit} exceeded (bound {bound!r})",
-            incumbent=res.x,
+            incumbent=x,
             bound=bound,
         )
-    raise ModelError(f"HiGHS MILP ended with status {res.status}: {res.message}")
+    raise ModelError(f"HiGHS MILP ended with status {highs.modelStatusToString(status)!r}")

@@ -257,8 +257,8 @@ def test_model_rows_match_a_per_battlefield_reference():
 
 @pytest.mark.parametrize("c", [1 / 8, 1.0])  # at c = 1 no field breaks inside (0, 1)
 def test_model_rows_are_what_milp_makes_of_dense_rows(c):
-    # scipy.optimize.milp converts dense rows with csc_array: HiGHS gets the
-    # same arrays from the sparse build.
+    # solve_milp converts dense rows with csc_array: HiGHS gets the same
+    # arrays from the sparse build.
     mix = merge_duplicates([point(0.5, 0.25, 0.25), point(0.0, 0.5, 0.5)], [0.5, 0.5])
     game = BlottoGame(3, (1.0, 1.0, 1.0), c)
     model = build_best_response_milp(mix, game)
@@ -300,8 +300,10 @@ def test_milp_value_equals_true_utility_off_grid():
 
 
 def test_milp_value_is_the_utility_of_its_allocation():
-    # On this dirac the MILP objective overstates the allocation's utility
-    # by 2e-6, more than MILP_ACCURACY; the answer must report the utility.
+    # Under HiGHS's default options the MILP objective on this dirac
+    # overstated the allocation's utility by 2e-6, more than MILP_ACCURACY
+    # (HiGHS's fallback run still uses them); the answer must report the
+    # utility.
     opponent = dirac(point(0.25, 0.0625, 0.6875))
     ans = milp_best_response(opponent, GAME_16)
     assert ans.value == pytest.approx(true_value(ans.point, opponent, GAME_16), abs=1e-12)
@@ -333,8 +335,8 @@ def exact_best_value(opponent, game):
 
 
 def test_milp_matches_exact_best_response_on_mixed_opponents():
-    # HiGHS stops at its default absolute gap of 1e-6, so this pins the
-    # answers to within MILP_ACCURACY of the true optimum.
+    # solve_milp sets HiGHS's absolute gap to MILP_ACCURACY, so this pins
+    # the answers to within that of the true optimum.
     rng = np.random.default_rng(5)
     for c in (0.25, 0.125, 0.1):
         for support in (2, 3, 4):
@@ -379,6 +381,29 @@ def test_milp_is_exact_near_breakpoints(n):
         game = BlottoGame(n, (1.0,) * n, c)
         for mix in random_mixtures(rng, n, 4):
             assert_oracles_exact(mix, game)
+
+
+def random_queries(seed):
+    rng = np.random.default_rng(seed)
+    for n in (3, 4):
+        for c in (1 / 8, 1 / 16, 0.1, 0.3, 1.0):
+            game = BlottoGame(n, tuple(rng.uniform(0.5, 1.5, n)), c)
+            yield from ((game, mix) for mix in random_mixtures(rng, n, 15))
+
+
+@pytest.mark.parametrize("queries", [
+    pytest.param(lambda: [(GAME_8, dirac(point(0.5, 0.25, 0.25)))], id="dirac-c8"),
+    pytest.param(lambda: [(GAME_16, dirac(point(0.25, 0.0625, 0.6875)))], id="dirac-c16"),
+    pytest.param(lambda: random_queries(3), id="random"),
+])
+def test_milp_best_responses_write_nothing_to_stdout_or_stderr(capfd, queries):
+    # HiGHS's MIP postsolve can print from C, past output_flag, so capture
+    # the file descriptors rather than sys.stdout.  Under HiGHS's default
+    # options the c = 1/8 dirac and seed 3's batch each print a line.
+    for game, opponent in queries():
+        milp_best_response(opponent, game)
+    out, err = capfd.readouterr()
+    assert (out, err) == ("", "")
 
 
 def test_enumeration_prefers_lexicographically_smallest():

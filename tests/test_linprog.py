@@ -47,12 +47,12 @@ def test_two_variable_box():
 
 def test_conflicting_row_is_infeasible():
     # x >= 0 always, so x <= -1 cannot hold
-    with pytest.raises(ModelError, match="status 2"):
+    with pytest.raises(ModelError, match="Infeasible"):
         solve_milp(lp([1.0], [[1.0]], [-np.inf], [-1.0]))
 
 
 def test_missing_upper_bound_is_unbounded():
-    with pytest.raises(ModelError, match="status 3"):
+    with pytest.raises(ModelError, match="Unbounded"):
         solve_milp(lp([1.0], [[1.0]], [2.0], [np.inf]))
 
 

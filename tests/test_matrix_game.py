@@ -158,18 +158,36 @@ def test_repeated_labels_are_rejected():
 # ------------------------------------------------- the persistent HiGHS LP
 
 HIGHS_METHODS = (
-    "addCol", "addRow", "clearSolver", "getModelStatus", "getSolution",
-    "modelStatusToString", "run", "setOptionValue",
+    "addCol", "addRow", "clearSolver", "getInfo", "getModelStatus", "getSolution",
+    "modelStatusToString", "passModel", "run", "setOptionValue",
 )
+# The fields and enum members that matrix_game and milp read or set.
+HIGHS_NAMES = {
+    "HighsLp": (
+        "num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_",
+        "row_lower_", "row_upper_", "a_matrix_", "integrality_",
+    ),
+    "HighsSparseMatrix": ("format_", "num_col_", "num_row_", "start_", "index_", "value_"),
+    "HighsInfo": ("mip_node_count", "mip_dual_bound"),
+    "HighsSolution": ("col_value", "row_dual", "value_valid"),
+    "HighsVarType": ("kContinuous", "kInteger"),
+    "MatrixFormat": ("kColwise",),
+    "HighsModelStatus": ("kOptimal", "kSolutionLimit"),
+    "HighsStatus": ("kError",),
+}
 
 
 def test_private_highs_binding_has_every_method_used():
     # scipy.optimize._highspy is private API; a scipy that renames a piece
     # of it should fail here rather than inside a solver run.
     missing = [name for name in HIGHS_METHODS if not hasattr(highs_core._Highs, name)]
-    assert not missing, f"scipy {scipy.__version__}: _Highs lacks {missing}"
-    assert hasattr(highs_core.HighsModelStatus, "kOptimal")
-    assert hasattr(highs_core.HighsStatus, "kError")
+    missing += [
+        f"{owner}.{name}"
+        for owner, names in HIGHS_NAMES.items()
+        for name in names
+        if not hasattr(getattr(highs_core, owner, None), name)
+    ]
+    assert not missing, f"scipy {scipy.__version__}: the HiGHS binding lacks {missing}"
 
 
 def fresh_lp_value(A):

@@ -1,9 +1,8 @@
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.optimize import milp as scipy_milp
+from scipy.optimize._highspy import _core as highs_core
 
 from double_oracle import (
     BlottoGame,
@@ -114,23 +113,33 @@ def test_unbounded_continuous_part():
         solve_milp(unbounded)
 
 
-def test_presolve_failure_is_retried(monkeypatch):
-    # HiGHS presolve can end a model that solves without it in "Solve
-    # error" (status 4); the stub fails the first call that way.
-    calls = []
+def test_non_optimal_run_is_retried_once_with_defaults(monkeypatch):
+    # The stub stops the first HiGHS run at a zero time limit, so it ends
+    # non-optimal; solve_milp must repeat it once with HiGHS's own options.
+    runs = []
 
-    def flaky_milp(*args, **kwargs):
-        calls.append(kwargs["options"])
-        if len(calls) == 1:
-            return SimpleNamespace(status=4, mip_node_count=0, message="Solve error")
-        return scipy_milp(*args, **kwargs)
+    class FirstRunTimesOut(highs_core._Highs):
+        def run(self):
+            runs.append({name: self.getOptionValue(name)[1] for name in milp.SMALL_MODEL_OPTIONS})
+            if len(runs) == 1:
+                self.setOptionValue("time_limit", 0.0)
+            status = super().run()
+            runs[-1]["status"] = self.getModelStatus()
+            return status
 
-    monkeypatch.setattr(milp, "_scipy_milp", flaky_milp)
+    monkeypatch.setattr(milp, "_Highs", FirstRunTimesOut)
     # Winning two fields outright against (0.5, 0.25, 0.25) pays 1.
     game = BlottoGame(n=3, a=(1.0, 1.0, 1.0), c=0.125)
     opponent = dirac(point(0.5, 0.25, 0.25))
     ans = milp_best_response(opponent, game)
-    assert [options.get("presolve") for options in calls] == [None, False]
-    assert ans.value == pytest.approx(1.0, abs=1e-9)
+    defaults = highs_core._Highs()
+    assert len(runs) == 2
+    assert runs[0] == {**milp.SMALL_MODEL_OPTIONS, "status": highs_core.HighsModelStatus.kTimeLimit}
+    assert runs[1] == {
+        **{name: defaults.getOptionValue(name)[1] for name in milp.SMALL_MODEL_OPTIONS},
+        "status": highs_core.HighsModelStatus.kOptimal,
+    }
+    assert ans.value == 1.0
     paid = blotto_utility(np.asarray(ans.point.coords), opponent.atoms[0].array(), game)
     assert float(paid) == ans.value
+
