@@ -182,12 +182,29 @@ class GameDefinition:
 
     ``utility`` is the payoff to player 1 (the maximizer); player 2 receives
     its negation.  See the module docstring for the vectorization contract.
+
+    ``curvature``, when given, is a pair ``(M1, M2)`` of bounds on the
+    second derivative of ``utility`` in each player's own coordinate:
+    ``|d^2u/dx^2| <= M1`` and ``|d^2u/dy^2| <= M2`` over both spaces.  The
+    grid oracle uses them to skip grid cells, so an invalid bound can change
+    its answer.
     """
 
     space1: StrategySpace
     space2: StrategySpace
     utility: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = ""
+    curvature: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.curvature is None:
+            return
+        bounds = tuple(float(m) for m in self.curvature)
+        if len(bounds) != 2 or not all(math.isfinite(m) and m >= 0.0 for m in bounds):
+            raise ParameterError(
+                f"curvature must be two finite bounds >= 0, got {self.curvature!r}"
+            )
+        object.__setattr__(self, "curvature", bounds)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import (
@@ -18,6 +20,12 @@ DEFAULT_RESOLUTION = 1e-4
 # Conservative Lipschitz bounds (both coordinates) for the built-in games.
 POLYNOMIAL_LIPSCHITZ = 16.0
 TOWNSEND_LIPSCHITZ = 20.0
+# Grid steps per cell of GridSearchOracle's pruned search.
+CELL_POINTS = 64
+# Relative float slack of its cell bound test: a cell is skipped only when
+# its bound misses the best endpoint value by more than this times the
+# payoff magnitudes, so rounding in the sums never drops the optimum.
+BOUND_SLACK = 1e-12
 
 
 def polynomial_utility(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -33,7 +41,10 @@ def make_polynomial_game() -> GameDefinition:
     the endpoints 1 and -1 with weights 0.78 and 0.22.
     """
     unit = Box((-1.0,), (1.0,))
-    return GameDefinition(unit, unit, polynomial_utility, name="g1-polynomial")
+    # u_xx = -4 and u_yy = -4x, so |u_xx| <= 4 and |u_yy| <= 4 on the square.
+    return GameDefinition(
+        unit, unit, polynomial_utility, name="g1-polynomial", curvature=(4.0, 4.0)
+    )
 
 
 def townsend_utility(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -44,11 +55,17 @@ def townsend_utility(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def make_townsend_game() -> GameDefinition:
     """Zero-sum game built from the Townsend test function; highly multimodal."""
+    # With -cos(z)^2 = -(1 + cos 2z)/2 and z = (x - 0.1) y:
+    #   u_xx = 2 y^2 cos 2z - 6 cos(3x + y) + 9x sin(3x + y),
+    #     so |u_xx| <= 2 * 2.5^2 + 6 + 9 * 2.5 = 41;
+    #   u_yy = 2 (x - 0.1)^2 cos 2z + x sin(3x + y),
+    #     so |u_yy| <= 2 * 2.4^2 + 2.5 = 14.02 <= 14.1.
     return GameDefinition(
         Box((-2.25,), (2.5,)),
         Box((-2.5,), (1.75,)),
         townsend_utility,
         name="g2-townsend",
+        curvature=(41.0, 14.1),
     )
 
 
@@ -71,36 +88,82 @@ def duplicate_first_axis(base: GameDefinition, name: str = "") -> GameDefinition
         mapped = lo + (hi - lo) * np.clip(s, 0.0, 1.0)
         return base.utility(mapped[..., None], y)
 
+    # Inside each tile x = lo + (hi - lo) s, so d^2u/ds^2 = (hi - lo)^2 u_xx;
+    # the jump between the tiles lies in the gap, which no grid cell spans.
+    curvature = None
+    if base.curvature is not None:
+        curvature = (base.curvature[0] * (hi - lo) ** 2, base.curvature[1])
     return GameDefinition(
         IntervalUnion(((0.0, 1.0), (2.0, 3.0))),
         base.space2,
         tiled,
         name=name or (base.name + "-tiled"),
+        curvature=curvature,
     )
 
 
+class _Column:
+    """One opponent atom's payoffs over the grid, filled cell by cell.
+
+    ``ends`` holds the payoffs at the cell endpoints.  ``values`` has one
+    slot per grid point, allocated at the first cell fill; it holds the
+    inner points of cell ``c`` once ``filled[c]`` is set, and every point
+    once all cells are.  ``scale``, the largest endpoint magnitude, sizes
+    the float slack of the cell bound test.
+    """
+
+    def __init__(self, ends: np.ndarray, values: np.ndarray | None, filled: np.ndarray):
+        self.ends = ends
+        self.values = values
+        self.filled = filled
+        self.scale = float(np.max(np.abs(ends)))
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The index runs ``starts[i] : starts[i] + lengths[i]``, concatenated."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
 class GridSearchOracle:
-    """Best response by exhaustive search over a uniform grid.
+    """Best response by search over a uniform grid, skipping cells that cannot win.
 
     The grid covers the responding player's interval(s) with spacing at most
-    ``resolution``, endpoints included.  Ties resolve to the smallest
-    coordinate.  When a Lipschitz bound ``L`` for the utility in the
-    responder's coordinate is supplied, the declared accuracy is
-    ``L * resolution / 2``; without one the answer is only guaranteed optimal
-    over the grid itself and the accuracy is reported as 0.
+    ``resolution``, endpoints included.  The answer is the grid point of
+    best value, ties resolved to the smallest coordinate.  When a Lipschitz
+    bound ``L`` for the utility in the responder's coordinate is supplied,
+    the declared accuracy is ``L * resolution / 2``; without one the answer
+    is only guaranteed optimal over the grid itself and the accuracy is
+    reported as 0.
 
-    A query against a ``k``-atom mixture costs one grid-length pass per
-    atom: it adds ``weight * column`` into one value vector, in the query's
-    atom order, so the answer does not depend on earlier queries.  Payoff
-    columns are cached per distinct opponent atom (memory: one grid-length
-    column each), so repeated queries against growing mixtures (as produced
-    by the solvers here) evaluate the utility only on new atoms.
+    Each interval of the grid is cut into cells of :data:`CELL_POINTS` grid
+    steps.  A query against a ``k``-atom mixture first sums the atoms'
+    payoffs at the cell endpoints, in the query's atom order.  With a
+    Lipschitz bound ``L`` and the game's declared ``curvature`` bound ``M``
+    (see :class:`~.core.GameDefinition`), the best value inside a cell of
+    width ``w`` whose endpoints sum to ``s_a`` and ``s_b`` is at most
+    ``min((s_a + s_b)/2 + L w/2, max(s_a, s_b) + M w^2/8)`` for the
+    maximizer (mirrored for the minimizer), scaled by the total weight.  A
+    cell whose bound falls short of the best endpoint value by more than a
+    float slack cannot hold the grid optimum and is skipped; only the kept
+    cells are filled, summed and searched.  The answer is the same grid
+    point and the same value, bit for bit, as a full scan, provided ``L``
+    and ``M`` are valid bounds and the utility computes each point on its
+    own (as NumPy's elementwise functions do).  With neither bound
+    declared, a query is one full grid-length pass per atom.
+
+    Payoffs are cached per distinct opponent atom in one column of grid
+    length, filled lazily: the cell endpoints when the atom first appears,
+    then each cell the first time a query keeps it.  A query's values do
+    not depend on which cells earlier queries filled.  ``evaluations``
+    counts the utility points evaluated so far.
 
     Fictitious play, whose opponent mixture changes by one count a round,
     uses :meth:`running` instead: a round then costs one column add and one
     argmax/argmin over the grid, whatever the support.  The running sum
     lives in the returned responder, not in the oracle, so :meth:`respond`
-    stays a pure function of its query.
+    stays a pure function of its query.  The responder fills each column it
+    adds completely, in one utility call, in the same cache.
     """
 
     def __init__(
@@ -114,8 +177,8 @@ class GridSearchOracle:
             raise ParameterError(f"player must be 1 or 2, got {player!r}")
         if resolution <= 0:
             raise ParameterError(f"resolution must be positive, got {resolution}")
-        if lipschitz is not None and lipschitz < 0:
-            raise ParameterError(f"lipschitz bound must be >= 0, got {lipschitz}")
+        if lipschitz is not None and not (math.isfinite(lipschitz) and lipschitz >= 0):
+            raise ParameterError(f"lipschitz bound must be finite and >= 0, got {lipschitz}")
         self.game = game
         self.player = player
         self.resolution = float(resolution)
@@ -123,31 +186,119 @@ class GridSearchOracle:
         space = game.space1 if player == 1 else game.space2
         self._grid = np.sort(space.grid_points(resolution))
         self._grid_pts = self._grid[:, None]
-        self._columns: dict[tuple[float, ...], np.ndarray] = {}
+        self._columns: dict[tuple[float, ...], _Column] = {}
+        self.evaluations = 0
         self.accuracy = 0.0 if lipschitz is None else lipschitz * resolution / 2.0
 
+        # Cell endpoints every CELL_POINTS steps and at each interval's
+        # ends; a cell joins consecutive endpoints of one interval, so no
+        # cell spans a gap of an IntervalUnion.
+        firsts = [0]
+        if isinstance(space, IntervalUnion):
+            firsts = np.searchsorted(self._grid, [a for a, _ in space.pieces]).tolist()
+        lasts = firsts[1:] + [self._grid.size]
+        ends: list[int] = []
+        left: list[int] = []
+        for first, stop in zip(firsts, lasts):
+            piece = list(range(first, stop - 1, CELL_POINTS)) + [stop - 1]
+            left += range(len(ends), len(ends) + len(piece) - 1)
+            ends += piece
+        self._ends = np.asarray(ends, dtype=np.intp)
+        self._left = np.asarray(left, dtype=np.intp)
+        lo, hi = self._ends[self._left], self._ends[self._left + 1]
+        self._inner_start = lo + 1
+        self._inner_len = hi - lo - 1
+        width = self._grid[hi] - self._grid[lo]
+        curvature = None if game.curvature is None else game.curvature[player - 1]
+        self._lipschitz_pad = None if lipschitz is None else lipschitz * width / 2.0
+        self._curvature_pad = None if curvature is None else curvature * width**2 / 8.0
+
+    def _evaluate(self, atom: StrategyPoint, idx) -> np.ndarray:
+        pts = self._grid_pts[idx]
+        other = atom.array()
+        if self.player == 1:
+            out = self.game.utility(pts, other)
+        else:
+            out = self.game.utility(other, pts)
+        self.evaluations += len(pts)
+        return np.asarray(out, dtype=float)
+
+    def _entry(self, atom: StrategyPoint) -> _Column:
+        """The atom's column, with (at least) its cell endpoints filled."""
+        col = self._columns.get(atom.coords)
+        if col is None:
+            ends = np.empty(self._ends.size)
+            ends[:] = self._evaluate(atom, self._ends)
+            col = _Column(ends, None, np.zeros(self._left.size, dtype=bool))
+            self._columns[atom.coords] = col
+        return col
+
+    def _fill(self, atom: StrategyPoint, col: _Column, cells: np.ndarray) -> None:
+        """Fill the inner points of those ``cells`` not filled yet."""
+        todo = cells[~col.filled[cells]]
+        if todo.size:
+            if col.values is None:
+                col.values = np.empty(self._grid.size)
+            idx = _ranges(self._inner_start[todo], self._inner_len[todo])
+            col.values[idx] = self._evaluate(atom, idx)
+            col.filled[todo] = True
+
     def _column(self, atom: StrategyPoint) -> np.ndarray:
-        cached = self._columns.get(atom.coords)
-        if cached is None:
-            other = atom.array()
-            if self.player == 1:
-                cached = np.asarray(self.game.utility(self._grid_pts, other), dtype=float)
-            else:
-                cached = np.asarray(self.game.utility(other, self._grid_pts), dtype=float)
-            self._columns[atom.coords] = cached
-        return cached
+        """The atom's payoffs at every grid point, evaluated in one call."""
+        col = self._columns.get(atom.coords)
+        if col is None or not col.filled.all():
+            values = np.empty(self._grid.size)
+            values[:] = self._evaluate(atom, slice(None))
+            col = _Column(values[self._ends], values, np.ones(self._left.size, dtype=bool))
+            self._columns[atom.coords] = col
+        return col.values
 
     def respond(self, opponent: FiniteMixedStrategy) -> OracleAnswer:
-        values = np.zeros(self._grid.size)
-        for atom, weight in zip(opponent.atoms, opponent.weights):
-            values += weight * self._column(atom)
-        return self._best(values, 1.0)
+        if self._lipschitz_pad is None and self._curvature_pad is None:
+            values = np.zeros(self._grid.size)
+            for atom, weight in zip(opponent.atoms, opponent.weights):
+                values += weight * self._column(atom)
+            return self._best(values, 1.0)
 
-    def _best(self, values: np.ndarray, total: float) -> OracleAnswer:
-        # argmax/argmin on the undivided sum: dividing first could round
-        # distinct values into ties.  Ties go to the smallest coordinate.
-        idx = int(np.argmax(values)) if self.player == 1 else int(np.argmin(values))
-        return OracleAnswer(StrategyPoint((float(self._grid[idx]),)), float(values[idx]) / total)
+        columns = [self._entry(atom) for atom in opponent.atoms]
+        weights = opponent.weights
+        ends = np.zeros(self._ends.size)
+        for col, weight in zip(columns, weights):
+            ends += weight * col.ends
+        # Bound the maximizer's sum; the minimizer's is the negated sum.
+        side = ends if self.player == 1 else -ends
+        a, b = side[self._left], side[self._left + 1]
+        total = math.fsum(weights)
+        bound = np.full(self._left.size, np.inf)
+        if self._lipschitz_pad is not None:
+            bound = np.minimum(bound, (a + b) / 2.0 + total * self._lipschitz_pad)
+        if self._curvature_pad is not None:
+            bound = np.minimum(bound, np.maximum(a, b) + total * self._curvature_pad)
+        # Rounding in the sums scales with the payoffs summed, not with
+        # their total, which may cancel.  A bound close to the best value
+        # has pads of at most twice these payoffs, so they need no slack.
+        slack = BOUND_SLACK * math.fsum(w * col.scale for col, w in zip(columns, weights))
+        kept = np.flatnonzero(bound >= side.max() - slack)
+
+        idx = _ranges(self._inner_start[kept], self._inner_len[kept])
+        values = np.zeros(idx.size)
+        for atom, col, weight in zip(opponent.atoms, columns, weights):
+            self._fill(atom, col, kept)
+            if idx.size:
+                values += weight * col.values[idx]
+        return self._best(np.concatenate((ends, values)), 1.0, np.concatenate((self._ends, idx)))
+
+    def _best(self, values: np.ndarray, total: float, idx: np.ndarray | None = None) -> OracleAnswer:
+        # Best on the undivided sum: dividing first could round distinct
+        # values into ties.  Ties go to the smallest coordinate; ``idx``
+        # gives the grid index of each value when they are not the whole grid.
+        if idx is None:
+            i = int(np.argmax(values)) if self.player == 1 else int(np.argmin(values))
+            best = values[i]
+        else:
+            best = values.max() if self.player == 1 else values.min()
+            i = int(idx[values == best].min())
+        return OracleAnswer(StrategyPoint((float(self._grid[i]),)), float(best) / total)
 
     def running(self) -> RunningGridResponse:
         """A fresh best responder to a count-weighted, growing opponent history."""

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from double_oracle import (
     Box,
@@ -10,6 +11,7 @@ from double_oracle import (
     GameDefinition,
     GridSearchOracle,
     IntervalUnion,
+    OracleAnswer,
     ParameterError,
     Simplex,
     dirac,
@@ -20,6 +22,7 @@ from double_oracle import (
     merge_duplicates,
     point,
     pure_utility,
+    run_double_oracle,
 )
 from double_oracle.one_dim import (
     POLYNOMIAL_LIPSCHITZ,
@@ -172,8 +175,179 @@ def test_oracle_parameter_validation():
         GridSearchOracle(game, 3)
     with pytest.raises(ParameterError):
         GridSearchOracle(game, 1, resolution=-0.1)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            GridSearchOracle(game, 1, lipschitz=bad)
+
+
+@pytest.mark.parametrize("bad", [(-1.0, 4.0), (4.0, math.nan), (math.inf, 4.0), (4.0,)])
+def test_curvature_validation(bad):
+    unit = Box((-1.0,), (1.0,))
     with pytest.raises(ParameterError):
-        GridSearchOracle(game, 1, lipschitz=-1.0)
+        GameDefinition(unit, unit, polynomial_utility, curvature=bad)
+
+
+# ------------------------------------------------------------ pruned search
+
+def _full_scan(game, player, resolution, mix):
+    """The grid argmax as a plain full scan: one column per atom, summed in atom order."""
+    space = game.space1 if player == 1 else game.space2
+    grid = np.sort(space.grid_points(resolution))
+    values = np.zeros(grid.size)
+    for atom, weight in zip(mix.atoms, mix.weights):
+        if player == 1:
+            values += weight * game.utility(grid[:, None], atom.array())
+        else:
+            values += weight * game.utility(atom.array(), grid[:, None])
+    idx = int(np.argmax(values)) if player == 1 else int(np.argmin(values))
+    return OracleAnswer(point(float(grid[idx])), float(values[idx]))
+
+
+def _constant_game():
+    unit = Box((0.0,), (1.0,))
+    return GameDefinition(unit, unit, lambda x, y: np.broadcast_arrays(
+        x[..., 0], y[..., 0])[0] * 0.0 + 3.25, name="constant", curvature=(0.0, 0.0))
+
+
+def _tent_game():
+    # u = -|x - y| has slope 1 and a kink at x = y, where a cell's
+    # Lipschitz bound is tight; it declares no curvature.
+    unit = Box((0.0,), (1.0,))
+    return GameDefinition(unit, unit, lambda x, y: -np.abs(x[..., 0] - y[..., 0]), name="tent")
+
+
+GAMES = {
+    "g1": (make_polynomial_game, POLYNOMIAL_LIPSCHITZ),
+    "g2": (make_townsend_game, TOWNSEND_LIPSCHITZ),
+    # each unit tile maps onto [-1, 1], which doubles the slope
+    "g1-tiled": (lambda: duplicate_first_axis(make_polynomial_game()), 2 * POLYNOMIAL_LIPSCHITZ),
+    "constant": (_constant_game, 0.0),
+    "tent": (_tent_game, 1.0),
+}
+
+
+def _oracle(name, player, with_lipschitz, with_curvature, resolution):
+    make, lipschitz = GAMES[name]
+    game = make()
+    if not with_curvature:
+        game = dataclasses.replace(game, curvature=None)
+    return GridSearchOracle(game, player, resolution, lipschitz if with_lipschitz else None)
+
+
+def _atoms(space):
+    pieces = space.pieces if isinstance(space, IntervalUnion) else ((space.lower[0], space.upper[0]),)
+    return st.one_of(*(st.floats(a, b) for a, b in pieces)).map(point)
+
+
+@st.composite
+def _mixtures(draw, space):
+    k = draw(st.integers(1, 12))
+    atoms = draw(st.lists(_atoms(space), min_size=k, max_size=k))
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k))
+    return merge_duplicates(atoms, weights)
+
+
+@pytest.mark.parametrize("player", [1, 2])
+@pytest.mark.parametrize("name", list(GAMES))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_respond_equals_full_grid_scan(name, player, data):
+    """Pruned answers are the full scan's, bit for bit, before and after running() fills columns."""
+    oracle = _oracle(name, player, data.draw(st.booleans()), data.draw(st.booleans()), 1e-3)
+    game = oracle.game
+    opponent_space = game.space2 if player == 1 else game.space1
+    queries = data.draw(st.lists(_mixtures(opponent_space), min_size=1, max_size=3))
+    expected = [_full_scan(game, player, 1e-3, q) for q in queries]
+    assert [oracle.respond(q) for q in queries] == expected
+    responder = oracle.running()
+    for atom in queries[0].atoms:
+        responder.add(atom)
+    assert [oracle.respond(q) for q in reversed(queries)] == expected[::-1]
+
+
+def test_lipschitz_bound_is_exact_at_a_kink():
+    # The tent's peak swept across one 64-step cell: a cell bound any
+    # smaller than (s_a + s_b)/2 + L w/2 skips the peak for some positions.
+    oracle = _oracle("tent", 1, True, False, 1e-3)
+    for y in np.linspace(0.1275, 0.1925, 521):
+        mix = dirac(point(float(y)))
+        assert oracle.respond(mix) == _full_scan(oracle.game, 1, 1e-3, mix)
+
+
+def test_cells_do_not_span_the_gap_of_an_interval_union():
+    # Linear on each piece (curvature 0): u = x on [0, 1], best at its inner
+    # end x = 1, and u rises to 0.98 at x = 3 on [2, 3].  A cell from
+    # x = 0.96 to x = 2.023 over the gap would have both endpoints below
+    # 0.98, so its bound would skip the optimum.
+    game = GameDefinition(
+        IntervalUnion(((0.0, 1.0), (2.0, 3.0))),
+        Box((0.0,), (1.0,)),
+        lambda x, y: np.where(x[..., 0] <= 1.5, x[..., 0], 0.5 + 0.48 * (x[..., 0] - 2.0)) + 0.0 * y[..., 0],
+        curvature=(0.0, 0.0),
+    )
+    oracle = GridSearchOracle(game, 1, 1e-3)
+    assert oracle.respond(dirac(point(0.5))) == OracleAnswer(point(1.0), 1.0)
+
+
+def test_tiling_scales_player_one_curvature():
+    assert duplicate_first_axis(make_polynomial_game()).curvature == (16.0, 4.0)
+    tiled = duplicate_first_axis(make_townsend_game())
+    assert tiled.curvature == pytest.approx((41.0 * 4.75**2, 14.1))
+    assert duplicate_first_axis(dataclasses.replace(make_polynomial_game(), curvature=None)).curvature is None
+
+
+def _worst_second_differences(game, h):
+    """max |u(x+h) - 2u(x) + u(x-h)| / h^2 along each player's axis, on a mesh of step ~h."""
+    def mesh(space):
+        lo, hi = space.lower[0], space.upper[0]
+        n = int(round((hi - lo) / h)) + 1
+        return np.linspace(lo, hi, n), (hi - lo) / (n - 1)
+
+    x, hx = mesh(game.space1)
+    y, hy = mesh(game.space2)
+    worst_x = worst_y = 0.0
+    for start in range(0, y.size - 2, 254):  # blocks of 256 rows overlapping by 2
+        u = game.utility(x[:, None, None], y[None, start:start + 256, None])
+        worst_x = max(worst_x, float(np.abs(u[2:] - 2.0 * u[1:-1] + u[:-2]).max()))
+        worst_y = max(worst_y, float(np.abs(u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]).max()))
+    return worst_x / hx**2, worst_y / hy**2
+
+
+@pytest.mark.parametrize("make", [make_polynomial_game, make_townsend_game], ids=["g1", "g2"])
+def test_declared_curvature_bounds_second_differences(make):
+    game = make()
+    h = 1e-3
+    # Each payoff (|u| < 10) is off by under 1e-14 after rounding, and a
+    # second difference scales that by 4 / h^2.  g1's u_xx = -4 meets its
+    # bound exactly, so this rounding shows.
+    rounding = 1e-13 / h**2
+    worst = _worst_second_differences(game, h)
+    assert worst[0] <= game.curvature[0] + rounding
+    assert worst[1] <= game.curvature[1] + rounding
+
+
+class _Recording:
+    """Oracle wrapper that records every opponent atom it is asked about."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.accuracy = inner.accuracy
+        self.atoms = set()
+
+    def respond(self, opponent):
+        self.atoms.update(opponent.atoms)
+        return self.inner.respond(opponent)
+
+
+def test_double_oracle_on_g2_evaluates_a_fraction_of_full_columns():
+    game = make_townsend_game()
+    oracles = [_Recording(GridSearchOracle(game, p, 1e-4, TOWNSEND_LIPSCHITZ)) for p in (1, 2)]
+    res = run_double_oracle(game, *oracles, [point(0.0)], [point(0.0)], epsilon=1e-6)
+    assert res.terminated_by == "gap"
+    for rec in oracles:
+        space = game.space1 if rec.inner.player == 1 else game.space2
+        full = len(rec.atoms) * space.grid_points(1e-4).size
+        assert rec.inner.evaluations < full / 4
 
 
 # ------------------------------------------------------------ tiled games
