@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -155,8 +156,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ParameterError(f"max_iters: must be >= 1, got {cfg.max_iters}")
     if cfg.resolution <= 0:
         raise ParameterError(f"resolution: must be > 0, got {cfg.resolution}")
-    if cfg.lipschitz is not None and cfg.lipschitz <= 0:
-        raise ParameterError(f"lipschitz: must be > 0, got {cfg.lipschitz}")
+    if cfg.lipschitz is not None and not (math.isfinite(cfg.lipschitz) and cfg.lipschitz > 0):
+        raise ParameterError(f"lipschitz: must be finite and > 0, got {cfg.lipschitz}")
     if cfg.game == "blotto":
         if cfg.n < 2:
             raise ParameterError(f"n: need at least 2 battlefields, got {cfg.n}")
@@ -483,7 +484,11 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="seed for random initialization")
     parser.add_argument("--resolution", type=float, help="1-D oracle grid spacing")
     parser.add_argument(
-        "--lipschitz", type=float, help="Lipschitz bound used for the 1-D oracle accuracy"
+        "--lipschitz",
+        type=float,
+        help="Lipschitz bound of the 1-D game in each player's own coordinate; sets the "
+        "oracle's declared accuracy and which grid cells it skips, so a value below the "
+        "true bound can return a worse grid point",
     )
     parser.add_argument("--oracle", help="blotto oracle: milp or enumeration")
     parser.add_argument("--n", type=int, help="blotto: number of battlefields")

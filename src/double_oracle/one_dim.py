@@ -13,7 +13,7 @@ from .core import (
     IntervalUnion,
     StrategyPoint,
 )
-from .errors import ParameterError
+from .errors import ModelError, ParameterError
 from .oracles import OracleAnswer
 
 DEFAULT_RESOLUTION = 1e-4
@@ -106,16 +106,19 @@ class _Column:
     """One opponent atom's payoffs over the grid, filled cell by cell.
 
     ``ends`` holds the payoffs at the cell endpoints.  ``values`` has one
-    slot per grid point, allocated at the first cell fill; it holds the
-    inner points of cell ``c`` once ``filled[c]`` is set, and every point
-    once all cells are.  ``scale``, the largest endpoint magnitude, sizes
-    the float slack of the cell bound test.
+    slot per grid point; it holds the inner points of cell ``c`` once
+    ``filled[c]`` is set, and every point once ``full`` is.  Until then the
+    endpoints stay out of ``values``: writing them would touch every memory
+    page of a column that most queries read only a few cells of.
+    ``scale``, the largest endpoint magnitude, sizes the float slack of the
+    cell bound test.
     """
 
-    def __init__(self, ends: np.ndarray, values: np.ndarray | None, filled: np.ndarray):
+    def __init__(self, ends: np.ndarray, values: np.ndarray, filled: np.ndarray, full: bool):
         self.ends = ends
         self.values = values
         self.filled = filled
+        self.full = full
         self.scale = float(np.max(np.abs(ends)))
 
 
@@ -150,7 +153,9 @@ class GridSearchOracle:
     point and the same value, bit for bit, as a full scan, provided ``L``
     and ``M`` are valid bounds and the utility computes each point on its
     own (as NumPy's elementwise functions do).  With neither bound
-    declared, a query is one full grid-length pass per atom.
+    declared every bound is infinite, so every cell is kept and each
+    atom's column is filled in full.  A NaN payoff at a searched point, or
+    an infinite best value, raises :class:`~.errors.ModelError`.
 
     Payoffs are cached per distinct opponent atom in one column of grid
     length, filled lazily: the cell endpoints when the atom first appears,
@@ -162,8 +167,8 @@ class GridSearchOracle:
     uses :meth:`running` instead: a round then costs one column add and one
     argmax/argmin over the grid, whatever the support.  The running sum
     lives in the returned responder, not in the oracle, so :meth:`respond`
-    stays a pure function of its query.  The responder fills each column it
-    adds completely, in one utility call, in the same cache.
+    stays a pure function of its query.  The responder completes each
+    column it adds, in one utility call, in the same cache.
     """
 
     def __init__(
@@ -205,6 +210,7 @@ class GridSearchOracle:
             ends += piece
         self._ends = np.asarray(ends, dtype=np.intp)
         self._left = np.asarray(left, dtype=np.intp)
+        self._cells = np.arange(self._left.size)
         lo, hi = self._ends[self._left], self._ends[self._left + 1]
         self._inner_start = lo + 1
         self._inner_len = hi - lo - 1
@@ -223,49 +229,49 @@ class GridSearchOracle:
         self.evaluations += len(pts)
         return np.asarray(out, dtype=float)
 
-    def _entry(self, atom: StrategyPoint) -> _Column:
-        """The atom's column, with (at least) its cell endpoints filled."""
+    def _entry(self, atom: StrategyPoint, whole: bool = False) -> _Column:
+        """The atom's column.
+
+        A new column is evaluated in one utility call: at the cell
+        endpoints, or at every grid point if ``whole``.
+        """
         col = self._columns.get(atom.coords)
         if col is None:
-            ends = np.empty(self._ends.size)
-            ends[:] = self._evaluate(atom, self._ends)
-            col = _Column(ends, None, np.zeros(self._left.size, dtype=bool))
+            values = np.empty(self._grid.size)
+            if whole:
+                values[:] = self._evaluate(atom, slice(None))
+                ends = values[self._ends]
+            else:
+                ends = self._evaluate(atom, self._ends)
+            col = _Column(ends, values, np.full(self._left.size, whole), whole)
             self._columns[atom.coords] = col
         return col
 
     def _fill(self, atom: StrategyPoint, col: _Column, cells: np.ndarray) -> None:
-        """Fill the inner points of those ``cells`` not filled yet."""
+        """Fill the inner points of those ``cells`` not filled yet, in one utility call."""
         todo = cells[~col.filled[cells]]
         if todo.size:
-            if col.values is None:
-                col.values = np.empty(self._grid.size)
             idx = _ranges(self._inner_start[todo], self._inner_len[todo])
             col.values[idx] = self._evaluate(atom, idx)
             col.filled[todo] = True
 
     def _column(self, atom: StrategyPoint) -> np.ndarray:
-        """The atom's payoffs at every grid point, evaluated in one call."""
-        col = self._columns.get(atom.coords)
-        if col is None or not col.filled.all():
-            values = np.empty(self._grid.size)
-            values[:] = self._evaluate(atom, slice(None))
-            col = _Column(values[self._ends], values, np.ones(self._left.size, dtype=bool))
-            self._columns[atom.coords] = col
+        """The atom's payoffs at every grid point."""
+        col = self._entry(atom, whole=True)
+        if not col.full:
+            self._fill(atom, col, self._cells)
+            col.values[self._ends] = col.ends
+            col.full = True
         return col.values
 
     def respond(self, opponent: FiniteMixedStrategy) -> OracleAnswer:
-        if self._lipschitz_pad is None and self._curvature_pad is None:
-            values = np.zeros(self._grid.size)
-            for atom, weight in zip(opponent.atoms, opponent.weights):
-                values += weight * self._column(atom)
-            return self._best(values, 1.0)
-
         columns = [self._entry(atom) for atom in opponent.atoms]
         weights = opponent.weights
         ends = np.zeros(self._ends.size)
         for col, weight in zip(columns, weights):
             ends += weight * col.ends
         # Bound the maximizer's sum; the minimizer's is the negated sum.
+        # Without L or M every bound is infinite and every cell is kept.
         side = ends if self.player == 1 else -ends
         a, b = side[self._left], side[self._left + 1]
         total = math.fsum(weights)
@@ -292,11 +298,15 @@ class GridSearchOracle:
         # Best on the undivided sum: dividing first could round distinct
         # values into ties.  Ties go to the smallest coordinate; ``idx``
         # gives the grid index of each value when they are not the whole grid.
+        # A NaN among the values makes the best NaN on either path.
         if idx is None:
             i = int(np.argmax(values)) if self.player == 1 else int(np.argmin(values))
             best = values[i]
         else:
             best = values.max() if self.player == 1 else values.min()
+        if not math.isfinite(best):
+            raise ModelError(f"utility returned {best} at a searched grid point")
+        if idx is not None:
             i = int(idx[values == best].min())
         return OracleAnswer(StrategyPoint((float(self._grid[i]),)), float(best) / total)
 

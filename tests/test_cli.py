@@ -210,6 +210,12 @@ def test_enumeration_oracle_rejects_random_init(tmp_path, capsys):
     assert "init: random starting points leave the allocation lattice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["0", "-1", "inf", "nan"])
+def test_lipschitz_must_be_finite_and_positive(tmp_path, capsys, bad):
+    assert run_cli("run", "--game", "g1", "--lipschitz", bad, "--outdir", str(tmp_path)) == 1
+    assert "lipschitz: must be finite and > 0" in capsys.readouterr().err
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")

@@ -11,6 +11,7 @@ from double_oracle import (
     GameDefinition,
     GridSearchOracle,
     IntervalUnion,
+    ModelError,
     OracleAnswer,
     ParameterError,
     Simplex,
@@ -189,16 +190,20 @@ def test_curvature_validation(bad):
 
 # ------------------------------------------------------------ pruned search
 
-def _full_scan(game, player, resolution, mix):
-    """The grid argmax as a plain full scan: one column per atom, summed in atom order."""
+def _full_column(game, player, resolution, atom):
     space = game.space1 if player == 1 else game.space2
     grid = np.sort(space.grid_points(resolution))
-    values = np.zeros(grid.size)
+    if player == 1:
+        return grid, game.utility(grid[:, None], atom.array())
+    return grid, game.utility(atom.array(), grid[:, None])
+
+
+def _full_scan(game, player, resolution, mix):
+    """The grid argmax as a plain full scan: one column per atom, summed in atom order."""
+    values = 0.0
     for atom, weight in zip(mix.atoms, mix.weights):
-        if player == 1:
-            values += weight * game.utility(grid[:, None], atom.array())
-        else:
-            values += weight * game.utility(atom.array(), grid[:, None])
+        grid, column = _full_column(game, player, resolution, atom)
+        values = values + weight * column
     idx = int(np.argmax(values)) if player == 1 else int(np.argmin(values))
     return OracleAnswer(point(float(grid[idx])), float(values[idx]))
 
@@ -262,7 +267,20 @@ def test_respond_equals_full_grid_scan(name, player, data):
     responder = oracle.running()
     for atom in queries[0].atoms:
         responder.add(atom)
+        assert np.array_equal(oracle._column(atom), _full_column(game, player, 1e-3, atom)[1])
     assert [oracle.respond(q) for q in reversed(queries)] == expected[::-1]
+
+
+def test_one_point_grid():
+    # A degenerate interval has one grid point and no cells.
+    game = GameDefinition(Box((0.5,), (0.5,)), Box((0.0,), (1.0,)), polynomial_utility, curvature=(4.0, 4.0))
+    oracle = GridSearchOracle(game, 1, 1e-3, POLYNOMIAL_LIPSCHITZ)
+    y = point(0.25)
+    value = float(polynomial_utility(np.array([0.5]), y.array()))
+    assert oracle.respond(dirac(y)) == OracleAnswer(point(0.5), value)
+    responder = oracle.running()
+    responder.add(y)
+    assert responder.respond() == OracleAnswer(point(0.5), value)
 
 
 def test_lipschitz_bound_is_exact_at_a_kink():
@@ -287,6 +305,27 @@ def test_cells_do_not_span_the_gap_of_an_interval_union():
     )
     oracle = GridSearchOracle(game, 1, 1e-3)
     assert oracle.respond(dirac(point(0.5))) == OracleAnswer(point(1.0), 1.0)
+
+
+def _nan_game(at):
+    unit = Box((0.0,), (1.0,))
+    return GameDefinition(
+        unit, unit, lambda x, y: np.where(x[..., 0] == at, np.nan, x[..., 0] * y[..., 0]), name="nan"
+    )
+
+
+@pytest.mark.parametrize("at, lipschitz", [(0.5, None), (0.0, None), (0.0, 1.0)])
+def test_nan_payoff_at_a_searched_point_raises(at, lipschitz):
+    # x = 0.5 is inside a cell, x = 0 a cell endpoint; with no bound every
+    # cell is searched, with one the endpoints always are.
+    oracle = GridSearchOracle(_nan_game(at), 1, 1e-3, lipschitz)
+    assert at in oracle._grid
+    with pytest.raises(ModelError):
+        oracle.respond(dirac(point(0.5)))
+    responder = oracle.running()
+    responder.add(point(0.5))
+    with pytest.raises(ModelError):
+        responder.respond()
 
 
 def test_tiling_scales_player_one_curvature():
