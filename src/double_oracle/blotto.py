@@ -233,11 +233,7 @@ def build_best_response_milp(
     )
 
 
-def milp_best_response(
-    opponent: FiniteMixedStrategy,
-    game: BlottoGame,
-    **milp_options,
-) -> OracleAnswer:
+def milp_best_response(opponent: FiniteMixedStrategy, game: BlottoGame) -> OracleAnswer:
     """Exact best response for player 1 via the MILP formulation.
 
     The returned value is the expected utility of the returned allocation.
@@ -247,7 +243,7 @@ def milp_best_response(
     """
     atoms, weights = _opponent_matrix(opponent, game)
     model = build_best_response_milp(opponent, game)
-    solution = solve_milp(model, **milp_options)
+    solution = solve_milp(model)
     x = np.clip(model.spend @ solution.x, 0.0, None)
     x /= x.sum()
     value = float(blotto_utility(x, atoms, game) @ weights)
@@ -271,12 +267,11 @@ def grid_enumeration_best_response(
 class BlottoMilpOracle:
     """MILP best responses for either player (player 2 via antisymmetry)."""
 
-    def __init__(self, game: BlottoGame, player: int, **milp_options):
+    def __init__(self, game: BlottoGame, player: int):
         if player not in (1, 2):
             raise ParameterError(f"player must be 1 or 2, got {player!r}")
         self.game = game
         self.player = player
-        self.milp_options = milp_options
         self.accuracy = MILP_ACCURACY
         self._warned = False
 
@@ -289,7 +284,7 @@ class BlottoMilpOracle:
                 stacklevel=2,
             )
             self._warned = True
-        answer = milp_best_response(opponent, self.game, **self.milp_options)
+        answer = milp_best_response(opponent, self.game)
         if self.player == 1:
             return answer
         # u(x, y) = -u(y, x): the maximizer against p is the minimizing

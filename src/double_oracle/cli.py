@@ -8,16 +8,20 @@ Two subcommands:
     time_s``) and writing a JSON summary with the final mixed strategies.
 
 ``compare``
-    Run both algorithms on identical settings with the same seed and write
-    their bound trajectories side by side (``iter,do_lower,do_upper,
-    fp_lower,fp_upper``), padding the shorter run with its final row.
+    Run double oracle, then fictitious play, on one config (``run``'s
+    settings except ``--algo``) and write their bound trajectories side by
+    side (``iter,do_lower,do_upper,fp_lower,fp_upper``), padding the shorter
+    run with its final row.
 
-Settings are resolved in order: built-in defaults, then the
+Each setting is one field of :class:`ExperimentConfig`, which declares its
+default, its text parser and its help once for both the ``--flag`` and the
+config-file key. Settings are resolved in order: built-in defaults, then the
 ``DOUBLE_ORACLE_OUTDIR`` environment variable (output directory only), then
 a flat ``key=value`` config file (``--config``), then command-line flags.
-Exit status is 0 when the run terminated by closing the bound gap, 2 when it
-hit the iteration cap, and 1 on any error; a partially written trace is
-flushed row by row, so it survives mid-run failures.
+Exit status of ``run`` is 0 when the run terminated by closing the bound
+gap, 2 when it hit the iteration cap, and 1 on any error; ``compare`` exits
+0 or 1. A partially written trace is flushed row by row, so it survives
+mid-run failures.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -71,26 +76,6 @@ RUN_HEADER = ["iter", "lower", "upper", "gap", "subgame_value", "size_x", "size_
 COMPARE_HEADER = ["iter", "do_lower", "do_upper", "fp_lower", "fp_upper"]
 
 
-@dataclass
-class ExperimentConfig:
-    """Everything one experiment needs, with CLI-facing defaults."""
-
-    game: str = "g1-polynomial"
-    algorithm: str = "double-oracle"
-    epsilon: float = 1e-3
-    max_iters: int = 1000
-    seed: int = 0
-    resolution: float = DEFAULT_RESOLUTION
-    lipschitz: float | None = None
-    oracle: str = "milp"
-    n: int = 3
-    a: tuple[float, ...] | None = None
-    c: float = 0.0625
-    init: str = "corners"
-    matrix: str | None = None
-    outdir: str = "."
-
-
 def _parse_weights(text: str) -> tuple[float, ...]:
     parts = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not parts:
@@ -98,22 +83,47 @@ def _parse_weights(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in parts)
 
 
-_FIELD_PARSERS = {
-    "game": str,
-    "algorithm": str,
-    "epsilon": float,
-    "max_iters": int,
-    "seed": int,
-    "resolution": float,
-    "lipschitz": float,
-    "oracle": str,
-    "n": int,
-    "a": _parse_weights,
-    "c": float,
-    "init": str,
-    "matrix": str,
-    "outdir": str,
-}
+def _setting(default, parse, help, **flag):
+    """A config field with its default, the parser of its text, and its help."""
+    return field(default=default, metadata={"type": parse, "help": help, **flag})
+
+
+@dataclass
+class ExperimentConfig:
+    """Everything one experiment needs, with CLI-facing defaults.
+
+    A field's metadata is the ``add_argument`` keywords of its flag, and its
+    ``type`` also parses the field's config-file value. ``algorithm`` is
+    ``run --algo``; every other field is a flag of both subcommands.
+    """
+
+    game: str = _setting(
+        "g1-polynomial", str, f"game to solve: {', '.join(GAMES)} (aliases: g1, g2, matrix)"
+    )
+    algorithm: str = _setting("double-oracle", str, "algorithm to run", choices=ALGORITHMS)
+    epsilon: float = _setting(1e-3, float, "target bound gap (>= 0)")
+    max_iters: int = _setting(1000, int, "iteration budget")
+    seed: int = _setting(0, int, "seed for random initialization")
+    resolution: float = _setting(DEFAULT_RESOLUTION, float, "1-D oracle grid spacing")
+    lipschitz: float | None = _setting(
+        None,
+        float,
+        "Lipschitz bound of the 1-D game in each player's own coordinate; sets the "
+        "oracle's declared accuracy and which grid cells it skips, so a value below the "
+        "true bound can return a worse grid point",
+    )
+    oracle: str = _setting("milp", str, "blotto oracle: milp or enumeration")
+    n: int = _setting(3, int, "blotto: number of battlefields")
+    a: tuple[float, ...] | None = _setting(
+        None, _parse_weights, "blotto: battlefield weights", metavar="W1,W2,..."
+    )
+    c: float = _setting(0.0625, float, "blotto: contest sharpness in (0, 1]")
+    init: str = _setting("corners", str, "blotto initialization: corners, grid, or random")
+    matrix: str | None = _setting(None, str, "path to a JSON payoff matrix (custom-finite-matrix)")
+    outdir: str = _setting(".", str, f"output directory (or ${OUTDIR_ENV})")
+
+
+_SETTINGS = {f.name: f for f in fields(ExperimentConfig)}
 
 
 def read_config_file(path: str) -> dict[str, object]:
@@ -132,11 +142,10 @@ def read_config_file(path: str) -> dict[str, object]:
         if not sep:
             raise ParameterError(f"config: {path}:{lineno}: expected key=value, got {line!r}")
         key = key.strip().replace("-", "_")
-        parser = _FIELD_PARSERS.get(key)
-        if parser is None:
+        if key not in _SETTINGS:
             raise ParameterError(f"config: {path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = parser(text.strip())
+            values[key] = _SETTINGS[key].metadata["type"](text.strip())
         except ValueError as exc:
             raise ParameterError(f"{key}: {path}:{lineno}: {exc}") from None
     return values
@@ -150,12 +159,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ParameterError(
             f"algorithm: unknown algorithm {cfg.algorithm!r}; choices are {', '.join(ALGORITHMS)}"
         )
-    if cfg.epsilon < 0:
+    # Written as not (x >= 0) so that NaN fails the checks too.
+    if not (cfg.epsilon >= 0):
         raise ParameterError(f"epsilon: must be >= 0, got {cfg.epsilon}")
     if cfg.max_iters < 1:
         raise ParameterError(f"max_iters: must be >= 1, got {cfg.max_iters}")
-    if cfg.resolution <= 0:
-        raise ParameterError(f"resolution: must be > 0, got {cfg.resolution}")
+    if cfg.seed < 0:
+        raise ParameterError(f"seed: must be >= 0, got {cfg.seed}")
+    if not (math.isfinite(cfg.resolution) and cfg.resolution > 0):
+        raise ParameterError(f"resolution: must be finite and > 0, got {cfg.resolution}")
     if cfg.lipschitz is not None and not (math.isfinite(cfg.lipschitz) and cfg.lipschitz > 0):
         raise ParameterError(f"lipschitz: must be finite and > 0, got {cfg.lipschitz}")
     if cfg.game == "blotto":
@@ -163,7 +175,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ParameterError(f"n: need at least 2 battlefields, got {cfg.n}")
         if not 0 < cfg.c <= 1:
             raise ParameterError(f"c: must lie in (0, 1], got {cfg.c}")
-        if cfg.a is not None and (len(cfg.a) != cfg.n or any(w <= 0 for w in cfg.a)):
+        if cfg.a is not None and (len(cfg.a) != cfg.n or any(not (w > 0) for w in cfg.a)):
             raise ParameterError(f"a: need {cfg.n} positive weights, got {cfg.a}")
         if cfg.oracle not in BLOTTO_ORACLES:
             raise ParameterError(
@@ -180,28 +192,23 @@ def validate_config(cfg: ExperimentConfig) -> None:
             )
         lattice = cfg.init == "grid" or cfg.oracle == "enumeration"
         if lattice and abs(1.0 / cfg.c - round(1.0 / cfg.c)) > 1e-9:
-            field = "init" if cfg.init == "grid" else "oracle"
+            name = "init" if cfg.init == "grid" else "oracle"
             raise ParameterError(
-                f"{field}: 1/c is not integral (c={cfg.c}), so there is no allocation lattice"
+                f"{name}: 1/c is not integral (c={cfg.c}), so there is no allocation lattice"
             )
     if cfg.game == "custom-finite-matrix" and not cfg.matrix:
         raise ParameterError("matrix: a payoff matrix file is required for custom-finite-matrix")
 
 
-def build_config(
-    flags: dict[str, object],
-    config_path: str | None = None,
-    extra_path: str | None = None,
-) -> ExperimentConfig:
-    """Merge defaults, environment, config file(s), and flags, then validate."""
+def build_config(flags: dict[str, object], config_path: str | None = None) -> ExperimentConfig:
+    """Merge defaults, environment, config file, and flags, then validate."""
     cfg = ExperimentConfig()
     env_outdir = os.environ.get(OUTDIR_ENV)
     if env_outdir:
         cfg.outdir = env_outdir
-    for path in (config_path, extra_path):
-        if path:
-            for key, value in read_config_file(path).items():
-                setattr(cfg, key, value)
+    if config_path:
+        for key, value in read_config_file(config_path).items():
+            setattr(cfg, key, value)
     for key, value in flags.items():
         if value is not None:
             setattr(cfg, key, value)
@@ -210,9 +217,10 @@ def build_config(
     return cfg
 
 
-def _flag_values(args: argparse.Namespace) -> dict[str, object]:
-    names = {f.name for f in fields(ExperimentConfig)}
-    return {k: v for k, v in vars(args).items() if k in names}
+# A game, the oracles of players 1 and 2, and their initial strategy sets.
+Problem = tuple[
+    GameDefinition, BestResponseOracle, BestResponseOracle, list[StrategyPoint], list[StrategyPoint]
+]
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -232,9 +240,7 @@ def _load_matrix(path: str) -> np.ndarray:
     return arr
 
 
-def build_problem(
-    cfg: ExperimentConfig,
-) -> tuple[GameDefinition, BestResponseOracle, BestResponseOracle, list[StrategyPoint], list[StrategyPoint]]:
+def build_problem(cfg: ExperimentConfig) -> Problem:
     """Instantiate the game, its oracles, and the initial strategy sets.
 
     The seed feeds ``numpy.random.default_rng`` and is consumed only by
@@ -308,13 +314,6 @@ def _mixture_payload(mix: FiniteMixedStrategy) -> dict[str, list]:
     }
 
 
-def _config_payload(cfg: ExperimentConfig) -> dict[str, object]:
-    payload = asdict(cfg)
-    if payload["a"] is not None:
-        payload["a"] = list(payload["a"])
-    return payload
-
-
 def output_paths(cfg: ExperimentConfig) -> tuple[str, str]:
     base = f"{cfg.game}_{cfg.algorithm}"
     return (
@@ -323,11 +322,36 @@ def output_paths(cfg: ExperimentConfig) -> tuple[str, str]:
     )
 
 
+def _solve(
+    cfg: ExperimentConfig,
+    problem: Problem,
+    on_iteration: Callable[[IterationRecord], None] | None = None,
+) -> tuple[FiniteMixedStrategy, FiniteMixedStrategy, list[IterationRecord], str]:
+    """Run ``cfg.algorithm`` on a :func:`build_problem` result.
+
+    Returns the final mixtures of both players, the trace, and how the run
+    ended.
+    """
+    game, oracle1, oracle2, init_x, init_y = problem
+    if cfg.algorithm == "double-oracle":
+        result = run_double_oracle(
+            game, oracle1, oracle2, init_x, init_y,
+            epsilon=cfg.epsilon, max_iters=cfg.max_iters, on_iteration=on_iteration,
+        )
+        return result.p_star, result.q_star, result.trace, result.terminated_by
+    fp = run_fictitious_play(
+        game, oracle1, oracle2, init_x[0], init_y[0],
+        iters=cfg.max_iters, on_iteration=on_iteration,
+    )
+    # FP has no stopping rule; it always spends its full budget.
+    return fp.empirical1, fp.empirical2, fp.trace, TERMINATED_CAP
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute one configured run; returns the process exit status."""
     os.makedirs(cfg.outdir, exist_ok=True)
     trace_path, result_path = output_paths(cfg)
-    game, oracle1, oracle2, init_x, init_y = build_problem(cfg)
+    problem = build_problem(cfg)
 
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -338,39 +362,14 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             writer.writerow(_trace_row(rec))
             fh.flush()
 
-        if cfg.algorithm == "double-oracle":
-            result = run_double_oracle(
-                game,
-                oracle1,
-                oracle2,
-                init_x,
-                init_y,
-                epsilon=cfg.epsilon,
-                max_iters=cfg.max_iters,
-                on_iteration=emit,
-            )
-            p_star, q_star = result.p_star, result.q_star
-            trace, terminated = result.trace, result.terminated_by
-        else:
-            fp = run_fictitious_play(
-                game,
-                oracle1,
-                oracle2,
-                init_x[0],
-                init_y[0],
-                iters=cfg.max_iters,
-                on_iteration=emit,
-            )
-            p_star, q_star = fp.empirical1, fp.empirical2
-            # FP has no stopping rule; it always spends its full budget.
-            trace, terminated = fp.trace, TERMINATED_CAP
+        p_star, q_star, trace, terminated = _solve(cfg, problem, emit)
 
     last = trace[-1]
     payload = {
         "game": cfg.game,
         "algorithm": cfg.algorithm,
         "seed": cfg.seed,
-        "config": _config_payload(cfg),
+        "config": asdict(cfg),
         "value": float(last.subgame_value),
         "lower": float(last.lower),
         "upper": float(last.upper),
@@ -394,55 +393,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     return 0 if terminated == TERMINATED_GAP else 2
 
 
-def _solver_trace(cfg: ExperimentConfig) -> list[IterationRecord]:
-    game, oracle1, oracle2, init_x, init_y = build_problem(cfg)
-    if cfg.algorithm == "double-oracle":
-        return run_double_oracle(
-            game, oracle1, oracle2, init_x, init_y,
-            epsilon=cfg.epsilon, max_iters=cfg.max_iters,
-        ).trace
-    return run_fictitious_play(
-        game, oracle1, oracle2, init_x[0], init_y[0], iters=cfg.max_iters
-    ).trace
+def compare_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> int:
+    """Run double oracle, then fictitious play, on ``cfg`` and write the combined CSV."""
+    trace_do = _solve(replace(cfg, algorithm="double-oracle"), build_problem(cfg))[2]
+    trace_fp = _solve(replace(cfg, algorithm="fictitious-play"), build_problem(cfg))[2]
 
-
-def compare_experiment(args: argparse.Namespace) -> int:
-    """Run both algorithms side by side and write the combined CSV."""
-    flags = _flag_values(args)
-    flags.pop("algorithm", None)
-    cfg_a = build_config(flags, args.config, args.config_a)
-    cfg_b = build_config(flags, args.config, args.config_b)
-    if args.algo_a is not None:
-        cfg_a.algorithm = args.algo_a
-    elif not args.config_a:
-        cfg_a.algorithm = "double-oracle"
-    if args.algo_b is not None:
-        cfg_b.algorithm = args.algo_b
-    elif not args.config_b:
-        cfg_b.algorithm = "fictitious-play"
-    validate_config(cfg_a)
-    validate_config(cfg_b)
-
-    if cfg_a.algorithm == cfg_b.algorithm:
-        raise ParameterError(
-            f"algorithm: compare needs two different algorithms, got {cfg_a.algorithm!r} twice"
-        )
-    for field in fields(ExperimentConfig):
-        if field.name == "algorithm":
-            continue
-        va, vb = getattr(cfg_a, field.name), getattr(cfg_b, field.name)
-        if va != vb:
-            raise ParameterError(
-                f"{field.name}: compare runs must share game settings, got {va!r} vs {vb!r}"
-            )
-
-    cfg_do = cfg_a if cfg_a.algorithm == "double-oracle" else cfg_b
-    cfg_fp = cfg_b if cfg_do is cfg_a else cfg_a
-    trace_do = _solver_trace(cfg_do)
-    trace_fp = _solver_trace(cfg_fp)
-
-    os.makedirs(cfg_a.outdir, exist_ok=True)
-    out_path = args.out or os.path.join(cfg_a.outdir, f"compare_{cfg_a.game}.csv")
+    os.makedirs(cfg.outdir, exist_ok=True)
+    out_path = out_path or os.path.join(cfg.outdir, f"compare_{cfg.game}.csv")
     rows = max(len(trace_do), len(trace_fp))
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -457,7 +414,7 @@ def compare_experiment(args: argparse.Namespace) -> int:
     gd = trace_do[-1]
     gf = trace_fp[-1]
     print(
-        f"{cfg_a.game}: double-oracle gap {_fmt(gd.upper - gd.lower)} after "
+        f"{cfg.game}: double-oracle gap {_fmt(gd.upper - gd.lower)} after "
         f"{len(trace_do)} iteration(s); fictitious-play gap {_fmt(gf.upper - gf.lower)} "
         f"after {len(trace_fp)}"
     )
@@ -475,30 +432,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value settings file")
-    parser.add_argument(
-        "--game",
-        help=f"game to solve: {', '.join(GAMES)} (aliases: g1, g2, matrix)",
-    )
-    parser.add_argument("--epsilon", type=float, help="target bound gap (>= 0)")
-    parser.add_argument("--max-iters", type=int, dest="max_iters", help="iteration budget")
-    parser.add_argument("--seed", type=int, help="seed for random initialization")
-    parser.add_argument("--resolution", type=float, help="1-D oracle grid spacing")
-    parser.add_argument(
-        "--lipschitz",
-        type=float,
-        help="Lipschitz bound of the 1-D game in each player's own coordinate; sets the "
-        "oracle's declared accuracy and which grid cells it skips, so a value below the "
-        "true bound can return a worse grid point",
-    )
-    parser.add_argument("--oracle", help="blotto oracle: milp or enumeration")
-    parser.add_argument("--n", type=int, help="blotto: number of battlefields")
-    parser.add_argument(
-        "--a", type=_parse_weights, metavar="W1,W2,...", help="blotto: battlefield weights"
-    )
-    parser.add_argument("--c", type=float, help="blotto: contest sharpness in (0, 1]")
-    parser.add_argument("--init", help="blotto initialization: corners, grid, or random")
-    parser.add_argument("--matrix", help="path to a JSON payoff matrix (custom-finite-matrix)")
-    parser.add_argument("--outdir", help=f"output directory (or ${OUTDIR_ENV})")
+    for name, setting in _SETTINGS.items():
+        if name != "algorithm":
+            parser.add_argument("--" + name.replace("_", "-"), dest=name, **setting.metadata)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -507,16 +443,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="solve one game and write trace + result files")
     _add_shared_flags(run_p)
-    run_p.add_argument(
-        "--algo", dest="algorithm", choices=ALGORITHMS, help="algorithm to run"
-    )
+    run_p.add_argument("--algo", dest="algorithm", **_SETTINGS["algorithm"].metadata)
 
     cmp_p = sub.add_parser("compare", help="run both algorithms and write a combined trace")
     _add_shared_flags(cmp_p)
-    cmp_p.add_argument("--algo-a", choices=ALGORITHMS, help="first algorithm (default double-oracle)")
-    cmp_p.add_argument("--algo-b", choices=ALGORITHMS, help="second algorithm (default fictitious-play)")
-    cmp_p.add_argument("--config-a", help="extra key=value file applied to the first run only")
-    cmp_p.add_argument("--config-b", help="extra key=value file applied to the second run only")
     cmp_p.add_argument("--out", help="combined CSV path (default <outdir>/compare_<game>.csv)")
     return parser
 
@@ -524,13 +454,12 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        flags = {k: v for k, v in vars(args).items() if k in _SETTINGS}
+        cfg = build_config(flags, args.config)
         if args.command == "run":
-            return run_experiment(build_config(_flag_values(args), args.config))
-        return compare_experiment(args)
-    except GameSolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+            return run_experiment(cfg)
+        return compare_experiment(cfg, args.out)
+    except (GameSolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -66,7 +66,7 @@ def _axis_grid(lo: float, hi: float, resolution: float) -> np.ndarray:
     The step count is rounded down when ``(hi - lo) / resolution`` is an
     integer up to float noise, so round resolutions yield round grids.
     """
-    if resolution <= 0:
+    if not (resolution > 0):  # NaN fails too
         raise ParameterError(f"grid resolution must be positive, got {resolution!r}")
     span = hi - lo
     raw = span / resolution

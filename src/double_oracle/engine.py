@@ -199,7 +199,7 @@ def run_double_oracle(
     subgame value by more than the oracle's accuracy plus :data:`VALUE_TOL`,
     raises :class:`OracleContractError`.
     """
-    if epsilon < 0:
+    if not (epsilon >= 0):  # NaN fails too
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")

@@ -180,7 +180,7 @@ class GridSearchOracle:
     ):
         if player not in (1, 2):
             raise ParameterError(f"player must be 1 or 2, got {player!r}")
-        if resolution <= 0:
+        if not (resolution > 0):  # NaN fails too
             raise ParameterError(f"resolution must be positive, got {resolution}")
         if lipschitz is not None and not (math.isfinite(lipschitz) and lipschitz >= 0):
             raise ParameterError(f"lipschitz bound must be finite and >= 0, got {lipschitz}")

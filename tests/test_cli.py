@@ -1,10 +1,11 @@
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 
 from double_oracle import FiniteMixedStrategy, expected_utility, point
-from double_oracle.cli import main, make_parser
+from double_oracle.cli import ExperimentConfig, main, make_parser, read_config_file
 from double_oracle.matrix_game import embed_matrix_game
 from double_oracle.one_dim import make_polynomial_game
 
@@ -133,27 +134,6 @@ def test_compare_is_byte_identical_across_runs(tmp_path):
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
-def test_compare_rejects_identical_algorithms(tmp_path, capsys):
-    code = run_cli(
-        "compare", "--game", "g1", "--algo-a", "double-oracle",
-        "--algo-b", "double-oracle", "--outdir", str(tmp_path),
-    )
-    assert code == 1
-    assert "two different algorithms" in capsys.readouterr().err
-
-
-def test_compare_rejects_mismatched_settings(tmp_path, capsys):
-    override = tmp_path / "a.cfg"
-    override.write_text("epsilon = 0.5\n")
-    code = run_cli(
-        "compare", "--game", "g1", "--config-a", str(override),
-        "--algo-a", "double-oracle", "--algo-b", "fictitious-play",
-        "--outdir", str(tmp_path),
-    )
-    assert code == 1
-    assert "epsilon" in capsys.readouterr().err
-
-
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "settings.cfg"
     cfg.write_text(
@@ -190,6 +170,15 @@ def test_error_messages_name_the_field(tmp_path, capsys):
 
     assert run_cli("run", "--game", "matrix", "--outdir", str(tmp_path)) == 1
     assert "matrix:" in capsys.readouterr().err
+
+    # NaN passes a plain `x < 0` check, an infinite resolution leaves a
+    # two-point grid, and a negative seed reaches numpy
+    for flag, bad, field in [("--epsilon", "nan", "epsilon"),
+                             ("--resolution", "nan", "resolution"),
+                             ("--resolution", "inf", "resolution"),
+                             ("--seed", "-1", "seed")]:
+        assert run_cli("run", "--game", "g1", flag, bad, "--outdir", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
 
 
 def test_non_lattice_margin_rejected_for_grid_modes(tmp_path, capsys):
@@ -246,6 +235,41 @@ def test_parser_exposes_both_subcommands():
     args = parser.parse_args(["run", "--game", "g2", "--max-iters", "5"])
     assert args.command == "run"
     assert args.game == "g2" and args.max_iters == 5
-    args = parser.parse_args(["compare", "--algo-a", "fictitious-play"])
-    assert args.command == "compare"
-    assert args.algo_a == "fictitious-play"
+    args = parser.parse_args(["compare", "--game", "g2"])
+    assert args.command == "compare" and args.game == "g2"
+    with pytest.raises(SystemExit) as err:
+        parser.parse_args(["compare", "--algo-a", "fictitious-play"])
+    assert err.value.code == 1
+
+
+# One text per setting, and the value that both its flag and its config key
+# must parse it to.
+SETTING_TEXTS = {
+    "game": ("g2", "g2"),
+    "epsilon": ("0.5", 0.5),
+    "max_iters": ("7", 7),
+    "seed": ("3", 3),
+    "resolution": ("0.01", 0.01),
+    "lipschitz": ("11", 11.0),
+    "oracle": ("enumeration", "enumeration"),
+    "n": ("4", 4),
+    "a": ("1,2,3", (1.0, 2.0, 3.0)),
+    "c": ("0.25", 0.25),
+    "init": ("grid", "grid"),
+    "matrix": ("m.json", "m.json"),
+    "outdir": ("out", "out"),
+}
+
+
+def test_every_setting_is_a_flag_of_both_subcommands_and_a_config_key(tmp_path):
+    assert set(SETTING_TEXTS) == {f.name for f in fields(ExperimentConfig)} - {"algorithm"}
+    parser = make_parser()
+    for name, (text, want) in SETTING_TEXTS.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"{name} = {text}\n")
+        got = [read_config_file(str(cfg))[name]]
+        for command in ("run", "compare"):
+            args = parser.parse_args([command, "--" + name.replace("_", "-"), text])
+            got.append(getattr(args, name))
+        assert got == [want] * 3, name
+        assert {type(v) for v in got} == {type(want)}, name

@@ -76,8 +76,9 @@ def test_box_grid_endpoints_and_spacing():
     assert np.diff(g2).max() <= 0.3 + 1e-12
     with pytest.raises(ParameterError):
         Box((0.0, 0.0), (1.0, 1.0)).grid_points(0.1)
-    with pytest.raises(ParameterError):
-        Box((0.0,), (1.0,)).grid_points(0.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ParameterError):
+            Box((0.0,), (1.0,)).grid_points(bad)
 
 
 def test_equilibrium_x_is_on_the_default_grid():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -145,8 +147,9 @@ def test_duplicate_initial_points_are_merged():
 
 def test_parameter_validation():
     game, o1, o2 = polynomial_setup(1e-2)
-    with pytest.raises(ParameterError):
-        run_double_oracle(game, o1, o2, [point(0.0)], [point(0.0)], epsilon=-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ParameterError):
+            run_double_oracle(game, o1, o2, [point(0.0)], [point(0.0)], epsilon=bad)
     with pytest.raises(ParameterError):
         run_double_oracle(game, o1, o2, [point(0.0)], [point(0.0)], max_iters=0)
     with pytest.raises(ParameterError):

@@ -174,8 +174,9 @@ def test_oracle_parameter_validation():
     game = make_polynomial_game()
     with pytest.raises(ParameterError):
         GridSearchOracle(game, 3)
-    with pytest.raises(ParameterError):
-        GridSearchOracle(game, 1, resolution=-0.1)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ParameterError):
+            GridSearchOracle(game, 1, resolution=bad)
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ParameterError):
             GridSearchOracle(game, 1, lipschitz=bad)
