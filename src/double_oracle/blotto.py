@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_array
 
 from .core import (
     FiniteMixedStrategy,
@@ -37,7 +36,7 @@ from .core import (
     StrategyPoint,
 )
 from .errors import DomainError, ParameterError, ResourceLimitError
-from .milp import MIP_ABS_GAP, MilpModel, solve_milp
+from .milp import MIP_ABS_GAP, MilpModel, csc_from_entries, solve_milp
 from .oracles import FinitePointOracle, OracleAnswer
 
 # HiGHS stops within this absolute gap of the optimum.
@@ -214,11 +213,7 @@ def build_best_response_milp(
         (second, left + 1, one), (second, z, -one),  # lambda_{s+1} - z <= 0
     )
     row, col, data = (np.concatenate(part) for part in zip(*entries))
-    # Canonical CSC (sorted int32 indices) is what solve_milp makes of the
-    # equivalent dense matrix, so HiGHS gets the same input.
-    rows = csc_array(
-        (data, (row.astype(np.int32), col.astype(np.int32))), shape=(1 + 2 * pairs, nvars)
-    )
+    rows = csc_from_entries(row, col, data, (1 + 2 * pairs, nvars))
     spend = np.zeros((n, nvars))
     spend[field, np.arange(segments)] = length
     return BlottoMilp(

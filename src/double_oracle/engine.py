@@ -15,6 +15,7 @@ the LP is re-solved from its previous basis (see :mod:`.matrix_game`).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -178,6 +179,19 @@ def _check_against_subgame(
         )
 
 
+def _require_accuracies(oracle1: BestResponseOracle, oracle2: BestResponseOracle) -> None:
+    """Reject an oracle whose declared accuracy bounds nothing.
+
+    An infinite accuracy would let any answer pass the checks, so a closed
+    gap would certify nothing.
+    """
+    for player, oracle in ((1, oracle1), (2, oracle2)):
+        if not (math.isfinite(oracle.accuracy) and oracle.accuracy >= 0):
+            raise ParameterError(
+                f"player {player} oracle accuracy must be finite and >= 0, got {oracle.accuracy}"
+            )
+
+
 def run_double_oracle(
     game: GameDefinition,
     oracle1: BestResponseOracle,
@@ -197,8 +211,10 @@ def run_double_oracle(
     partial traces.  An oracle answer outside its player's space, whose
     value is not what its point earns, or whose value falls short of the
     subgame value by more than the oracle's accuracy plus :data:`VALUE_TOL`,
-    raises :class:`OracleContractError`.
+    raises :class:`OracleContractError`.  An oracle whose declared accuracy
+    is not finite and >= 0 raises :class:`ParameterError` before any query.
     """
+    _require_accuracies(oracle1, oracle2)
     if not (epsilon >= 0):  # NaN fails too
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
     if max_iters < 1:
@@ -249,8 +265,9 @@ def bounds_from_profile(
     ``lower = min_y U(p, y)`` and ``upper = max_x U(x, q)`` (both up to
     oracle accuracy); the game value lies between them.  Each oracle
     answer is checked as in :func:`run_double_oracle`, except against a
-    subgame value.
+    subgame value, and the oracles' accuracies are checked as there.
     """
+    _require_accuracies(oracle1, oracle2)
     lower = _checked_answer(oracle2, p, game, 2).value
     upper = _checked_answer(oracle1, q, game, 1).value
     return lower, upper

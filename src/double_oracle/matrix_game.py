@@ -8,9 +8,9 @@ one LP column, a new column strategy adds one LP row, and each later solve
 starts from the previous optimal basis.  The minimax certificate below is
 verified on the returned pair, independent of the solver.
 
-HiGHS is reached through scipy's private binding ``scipy.optimize._highspy``
-(scipy 1.15 or later); ``tests/test_matrix_game.py`` checks that every
-method used here exists.
+HiGHS is reached through scipy's private compiled binding, loaded by
+:mod:`._highs` without importing ``scipy.optimize``;
+``tests/test_matrix_game.py`` checks that every method used here exists.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
+from ._highs import HighsModelStatus, HighsStatus, _Highs
 from .core import (
     FiniteMixedStrategy,
     GameDefinition,

@@ -1,4 +1,4 @@
-"""Mixed 0/1 linear programs, solved by HiGHS through scipy's private binding.
+"""Mixed 0/1 linear programs, solved by HiGHS through scipy's compiled binding.
 
 A :class:`MilpModel` is stated in the form HiGHS takes, as a maximization::
 
@@ -7,27 +7,23 @@ A :class:`MilpModel` is stated in the form HiGHS takes, as a maximization::
          0 <= x <= upper,  x[binary] in {0, 1}
 
 The models are built inside the package (the Blotto best response in
-:mod:`.blotto`), so none is validated here.  :func:`solve_milp` passes a
-model to a ``scipy.optimize._highspy._core._Highs`` instance, the binding
-:mod:`.matrix_game` uses for the subgame LP, with a zero relative gap and an
-absolute gap of :data:`MIP_ABS_GAP`: an optimal answer may lie up to that
-far below the optimum.
+:mod:`.blotto`), so none is validated here.  HiGHS takes the row matrix
+column-wise; :func:`csc_from_entries` puts nonzeros in that form with numpy
+alone, so neither ``scipy.sparse`` nor ``scipy.optimize`` is imported (see
+:mod:`._highs`).  :func:`solve_milp` passes a model to a ``_Highs``
+instance, the binding :mod:`.matrix_game` uses for the subgame LP, with a
+zero relative gap and an absolute gap of :data:`MIP_ABS_GAP`: an optimal
+answer may lie up to that far below the optimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize._highspy._core import (
-    HighsLp,
-    HighsModelStatus,
-    HighsVarType,
-    MatrixFormat,
-    _Highs,
-)
-from scipy.sparse import csc_array
 
+from ._highs import HighsLp, HighsModelStatus, HighsVarType, MatrixFormat, _Highs
 from .errors import ModelError, ResourceLimitError
 
 DEFAULT_NODE_LIMIT = 10**6
@@ -48,16 +44,49 @@ SMALL_MODEL_OPTIONS = {
 }
 
 
+class CscMatrix(NamedTuple):
+    """A matrix in canonical compressed sparse column form.
+
+    Column ``j`` holds ``data[indptr[j]:indptr[j + 1]]`` in rows
+    ``indices[indptr[j]:indptr[j + 1]]``, rows ascending, each at most once;
+    ``indptr`` and ``indices`` are int32.  This is the form, array for array,
+    that ``scipy.sparse.csc_array`` gives the same matrix.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def csc_from_entries(row, col, data, shape: tuple[int, int]) -> CscMatrix:
+    """The matrix with ``data[k]`` at ``(row[k], col[k])``; each position at most once."""
+    order = np.lexsort((row, col))
+    indptr = np.zeros(shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col, minlength=shape[1]), out=indptr[1:])
+    indices = np.asarray(row, dtype=np.int32)[order]
+    return CscMatrix(shape, indptr, indices, np.asarray(data, dtype=float)[order])
+
+
+def _csc(rows) -> CscMatrix:
+    """``rows`` as a :class:`CscMatrix`; a dense matrix keeps its nonzeros."""
+    if isinstance(rows, CscMatrix):
+        return rows
+    dense = np.asarray(rows, dtype=float)
+    col, row = np.nonzero(dense.T)
+    return csc_from_entries(row, col, dense[row, col], dense.shape)
+
+
 @dataclass(frozen=True)
 class MilpModel:
     """A MILP in the form of the module docstring; ``binary`` is a mask.
 
-    ``rows`` is a dense array or a scipy sparse matrix; HiGHS gets it in
-    CSC form either way.
+    ``rows`` is a :class:`CscMatrix` or a dense array, whose nonzeros
+    HiGHS then gets in the same column-wise form.
     """
 
     objective: np.ndarray
-    rows: np.ndarray
+    rows: CscMatrix | np.ndarray
     row_lower: np.ndarray
     row_upper: np.ndarray
     upper: np.ndarray
@@ -75,7 +104,7 @@ class MilpSolution:
 
 def _highs_lp(model: MilpModel) -> HighsLp:
     """``model`` as HiGHS's minimization of ``-objective``, without the offset."""
-    rows = csc_array(model.rows)
+    rows = _csc(model.rows)
     lp = HighsLp()
     lp.num_row_, lp.num_col_ = rows.shape
     lp.col_cost_ = -np.asarray(model.objective, dtype=float)

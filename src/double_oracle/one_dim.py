@@ -180,8 +180,8 @@ class GridSearchOracle:
     ):
         if player not in (1, 2):
             raise ParameterError(f"player must be 1 or 2, got {player!r}")
-        if not (resolution > 0):  # NaN fails too
-            raise ParameterError(f"resolution must be positive, got {resolution}")
+        if not (math.isfinite(resolution) and resolution > 0):
+            raise ParameterError(f"resolution must be finite and > 0, got {resolution}")
         if lipschitz is not None and not (math.isfinite(lipschitz) and lipschitz >= 0):
             raise ParameterError(f"lipschitz bound must be finite and >= 0, got {lipschitz}")
         self.game = game

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from double_oracle import (
     BlottoGame,
@@ -211,7 +212,8 @@ def test_criterion_6_linearization_is_exact():
         y = rng.dirichlet(np.ones(3))
         x = rng.dirichlet(np.ones(3))
         model = build_best_response_milp(dirac(point(*y)), game)
-        rows = model.rows.toarray()
+        m = model.rows
+        rows = csc_array((m.data, m.indices, m.indptr), shape=m.shape).toarray()
         at_zero = [l_eval(-y[j], c) for j in range(3)]
         worst = max(worst, abs(model.offset - sum(at_zero)))
         for j in range(3):

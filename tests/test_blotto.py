@@ -28,7 +28,7 @@ from double_oracle import (
     run_double_oracle,
     simplex_grid,
 )
-from double_oracle import blotto
+from double_oracle import blotto, milp
 from double_oracle.blotto import MILP_ACCURACY, game_definition
 
 GAME_8 = BlottoGame(n=3, a=(1.0, 1.0, 1.0), c=0.125)
@@ -220,6 +220,11 @@ def random_mixtures(rng, n, count):
         yield merge_duplicates([point(*a) for a in atoms], rng.dirichlet(np.ones(k)))
 
 
+def dense_rows(model):
+    m = model.rows
+    return csc_array((m.data, m.indices, m.indptr), shape=m.shape).toarray()
+
+
 def test_model_segments_match_a_per_battlefield_reference():
     rng = np.random.default_rng(31)
     for c in (1 / 8, 1 / 10, 1 / 16, 0.3, 1.0):
@@ -227,7 +232,7 @@ def test_model_segments_match_a_per_battlefield_reference():
         for mix in random_mixtures(rng, 3, 6):
             model = build_best_response_milp(mix, game)
             fields = reference_segments(mix, game)
-            budget = model.rows.toarray()[0]
+            budget = dense_rows(model)[0]
             columns = [np.flatnonzero(row) for row in model.spend]
             assert np.array_equal(np.concatenate(columns), np.flatnonzero(~model.binary))
             for (cuts, rises, _), spend, col in zip(fields, model.spend, columns):
@@ -247,7 +252,7 @@ def test_model_rows_match_a_per_battlefield_reference():
         for mix in random_mixtures(rng, 3, 6):
             model = build_best_response_milp(mix, game)
             rows, lower, upper = reference_rows(reference_segments(mix, game))
-            assert np.array_equal(model.rows.toarray(), rows)
+            assert np.array_equal(dense_rows(model), rows)
             assert np.array_equal(model.row_lower, lower)
             assert np.array_equal(model.row_upper, upper)
             segments = rows.shape[1] - (rows.shape[0] - 1) // 2
@@ -257,15 +262,20 @@ def test_model_rows_match_a_per_battlefield_reference():
 
 @pytest.mark.parametrize("c", [1 / 8, 1.0])  # at c = 1 no field breaks inside (0, 1)
 def test_model_rows_are_what_milp_makes_of_dense_rows(c):
-    # solve_milp converts dense rows with csc_array: HiGHS gets the same
-    # arrays from the sparse build.
+    # The sparse build and solve_milp's conversion of the equivalent dense
+    # rows both give, array for array, the canonical CSC that
+    # scipy.sparse.csc_array makes of the dense matrix: HiGHS's input is
+    # what it was when both went through scipy.sparse.
     mix = merge_duplicates([point(0.5, 0.25, 0.25), point(0.0, 0.5, 0.5)], [0.5, 0.5])
     game = BlottoGame(3, (1.0, 1.0, 1.0), c)
     model = build_best_response_milp(mix, game)
-    dense = csc_array(reference_rows(reference_segments(mix, game))[0])
-    for part in ("indptr", "indices", "data"):
-        got, want = getattr(model.rows, part), getattr(dense, part)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    dense = reference_rows(reference_segments(mix, game))[0]
+    want = csc_array(dense)
+    for got in (model.rows, milp._csc(dense)):
+        assert got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got, part).dtype == getattr(want, part).dtype
+            assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 # ----------------------------------------------------------- best responses

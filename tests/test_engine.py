@@ -212,6 +212,23 @@ def test_bounds_from_profile_rechecks_values():
         bounds_from_profile(game, dirac(point(0.0)), dirac(point(0.0)), o1, Overstating(o2))
 
 
+@pytest.mark.parametrize("accuracy", [math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("player", [1, 2])
+def test_oracle_without_a_finite_accuracy_is_rejected(player, accuracy):
+    # A two-point grid oracle on g1 that declared accuracy inf (resolution
+    # inf, now rejected by GridSearchOracle) once ended "gap" after one
+    # iteration at value 0.0; g1's value is -0.48.
+    game = make_polynomial_game()
+    oracles = [GridSearchOracle(game, p, 2.0, POLYNOMIAL_LIPSCHITZ) for p in (1, 2)]
+    oracles[player - 1].accuracy = accuracy
+    match = f"player {player} oracle accuracy"
+    with pytest.raises(ParameterError, match=match):
+        run_double_oracle(game, *oracles, [point(0.0)], [point(0.0)])
+    with pytest.raises(ParameterError, match=match):
+        bounds_from_profile(game, dirac(point(0.0)), dirac(point(0.0)), *oracles)
+    assert all(o.evaluations == 0 for o in oracles)
+
+
 def test_absorb_returns_the_first_match_in_insertion_order():
     held = [point(0.5), point(0.2), point(0.2 + 5e-10)]
     assert _absorb(held, point(0.2 + 2e-10)) == 1  # within 1e-9 of both 1 and 2

@@ -174,7 +174,7 @@ def test_oracle_parameter_validation():
     game = make_polynomial_game()
     with pytest.raises(ParameterError):
         GridSearchOracle(game, 3)
-    for bad in (-0.1, math.nan):
+    for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ParameterError):
             GridSearchOracle(game, 1, resolution=bad)
     for bad in (-1.0, math.nan, math.inf):
