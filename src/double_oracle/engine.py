@@ -52,7 +52,10 @@ class IterationRecord:
     equilibrium (read off the held subgame payoffs in double oracle), and
     ``size_x``/``size_y`` are the strategy-set sizes of the subgame that
     was solved.  ``added_x``/``added_y`` are the oracle answers,
-    recorded even when they duplicate existing points.
+    recorded even when they duplicate existing points.  ``time_s`` is the
+    wall time since the previous record (since the run started, for the
+    first), so it includes the work between records, such as growing the
+    subgame, and the records' times add up to the run's.
     """
 
     index: int
@@ -223,26 +226,29 @@ def run_double_oracle(
     xs = _merged_point_list(initial_x, game.space1, "player 1")
     ys = _merged_point_list(initial_y, game.space2, "player 2")
 
+    started = time.perf_counter()
     subgame = subgame_matrix(game, xs, ys)
     trace: list[IterationRecord] = []
     for i in range(1, max_iters + 1):
-        started = time.perf_counter()
         p_star, q_star, value = solve_zero_sum(subgame)
         ans1 = _checked_answer(oracle1, q_star, game, 1)
         ans2 = _checked_answer(oracle2, p_star, game, 2)
         _check_against_subgame(ans1, oracle1, value, 1)
         _check_against_subgame(ans2, oracle2, value, 2)
+        subgame_value = subgame.profile_payoff(p_star, q_star)
+        stopped = time.perf_counter()
         record = IterationRecord(
             index=i,
             lower=ans2.value,
             upper=ans1.value,
-            subgame_value=subgame.profile_payoff(p_star, q_star),
+            subgame_value=subgame_value,
             size_x=len(xs),
             size_y=len(ys),
             added_x=ans1.point,
             added_y=ans2.point,
-            time_s=time.perf_counter() - started,
+            time_s=stopped - started,
         )
+        started = stopped
         trace.append(record)
         if on_iteration is not None:
             on_iteration(record)
@@ -265,9 +271,15 @@ def bounds_from_profile(
     ``lower = min_y U(p, y)`` and ``upper = max_x U(x, q)`` (both up to
     oracle accuracy); the game value lies between them.  Each oracle
     answer is checked as in :func:`run_double_oracle`, except against a
-    subgame value, and the oracles' accuracies are checked as there.
+    subgame value, and the oracles' accuracies are checked as there.  An
+    atom of ``p`` or ``q`` outside its player's space raises
+    :class:`DomainError`, as in :func:`~.core.expected_utility`.
     """
     _require_accuracies(oracle1, oracle2)
+    for atom in p.atoms:
+        require_in_space(game.space1, atom, "player 1")
+    for atom in q.atoms:
+        require_in_space(game.space2, atom, "player 2")
     lower = _checked_answer(oracle2, p, game, 2).value
     upper = _checked_answer(oracle1, q, game, 1).value
     return lower, upper

@@ -9,10 +9,12 @@ solver's.
 
 A round changes each empirical mixture by one count.  An oracle with a
 ``running()`` method (:class:`~.one_dim.GridSearchOracle`) hands fictitious
-play a responder that keeps the count-weighted payoff sum over its grid, so
-a round costs one column add and one argmax per player.  Any other oracle
-is asked about the whole empirical mixture every round through
-``respond``.  Either way every answer is checked against the mixture.
+play a responder that keeps the count-weighted payoff sum, on the grid
+cells that can still hold the best response, and updates it as the history
+grows.  Any other oracle is asked about the whole empirical mixture every
+round through ``respond``.  Either way every answer is checked against the
+mixture.  A trace row's ``time_s`` includes the history adds that follow
+the previous row.
 """
 
 from __future__ import annotations
@@ -116,29 +118,32 @@ def run_fictitious_play(
     require_in_space(game.space1, init1, "player 1")
     require_in_space(game.space2, init2, "player 2")
 
+    started = time.perf_counter()
     emp1 = _Empirical(init1)
     emp2 = _Empirical(init2)
     best1 = _responder(oracle1, emp2)
     best2 = _responder(oracle2, emp1)
     trace: list[IterationRecord] = []
     for i in range(1, iters + 1):
-        started = time.perf_counter()
         mix1 = emp1.mixture()
         mix2 = emp2.mixture()
         ans1 = _check_answer(best1.respond(), mix2, game, 1)
         ans2 = _check_answer(best2.respond(), mix1, game, 2)
+        # Every atom passed require_in_space or _check_answer once.
+        subgame_value = _bilinear_utility(mix1, mix2, game)
+        stopped = time.perf_counter()
         record = IterationRecord(
             index=i,
             lower=ans2.value,
             upper=ans1.value,
-            # Every atom passed require_in_space or _check_answer once.
-            subgame_value=_bilinear_utility(mix1, mix2, game),
+            subgame_value=subgame_value,
             size_x=mix1.support_size,
             size_y=mix2.support_size,
             added_x=ans1.point,
             added_y=ans2.point,
-            time_s=time.perf_counter() - started,
+            time_s=stopped - started,
         )
+        started = stopped
         trace.append(record)
         if on_iteration is not None:
             on_iteration(record)

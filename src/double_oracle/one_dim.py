@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -107,18 +108,16 @@ class _Column:
 
     ``ends`` holds the payoffs at the cell endpoints.  ``values`` has one
     slot per grid point; it holds the inner points of cell ``c`` once
-    ``filled[c]`` is set, and every point once ``full`` is.  Until then the
-    endpoints stay out of ``values``: writing them would touch every memory
-    page of a column that most queries read only a few cells of.
-    ``scale``, the largest endpoint magnitude, sizes the float slack of the
-    cell bound test.
+    ``filled[c]`` is set.  The endpoints stay out of ``values``: writing
+    them would touch every memory page of a column that most queries read
+    only a few cells of.  ``scale``, the largest endpoint magnitude, sizes
+    the float slack of the cell bound test.
     """
 
-    def __init__(self, ends: np.ndarray, values: np.ndarray, filled: np.ndarray, full: bool):
+    def __init__(self, ends: np.ndarray, size: int, cells: int):
         self.ends = ends
-        self.values = values
-        self.filled = filled
-        self.full = full
+        self.values = np.empty(size)
+        self.filled = np.zeros(cells, dtype=bool)
         self.scale = float(np.max(np.abs(ends)))
 
 
@@ -126,6 +125,18 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The index runs ``starts[i] : starts[i] + lengths[i]``, concatenated."""
     offsets = np.cumsum(lengths) - lengths
     return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
+def _row_sums(table: np.ndarray) -> np.ndarray:
+    """``0.0 + table[0] + table[1] + ...``, row after row, as repeated ``+=`` gives it.
+
+    NumPy reduces a C-contiguous table over its slow axis one row at a
+    time.  A one-column table has no slow axis and would be summed
+    pairwise, so it goes through ``accumulate``, which is sequential.
+    """
+    if table.shape[1] == 1:
+        return np.add.accumulate(np.append(0.0, table[:, 0]))[-1:]
+    return np.add.reduce(table, axis=0, initial=0.0)
 
 
 class GridSearchOracle:
@@ -164,11 +175,12 @@ class GridSearchOracle:
     counts the utility points evaluated so far.
 
     Fictitious play, whose opponent mixture changes by one count a round,
-    uses :meth:`running` instead: a round then costs one column add and one
-    argmax/argmin over the grid, whatever the support.  The running sum
-    lives in the returned responder, not in the oracle, so :meth:`respond`
-    stays a pure function of its query.  The responder completes each
-    column it adds, in one utility call, in the same cache.
+    uses :meth:`running` instead: a responder that keeps the running
+    payoff sum at the cell endpoints and on the cells the last round kept,
+    prunes with the same bound, and fills a new atom on those cells only
+    (see :class:`RunningGridResponse`).  The running sum lives in the
+    responder, not in the oracle, so :meth:`respond` stays a pure function
+    of its query; both fill the same column cache.
     """
 
     def __init__(
@@ -210,7 +222,6 @@ class GridSearchOracle:
             ends += piece
         self._ends = np.asarray(ends, dtype=np.intp)
         self._left = np.asarray(left, dtype=np.intp)
-        self._cells = np.arange(self._left.size)
         lo, hi = self._ends[self._left], self._ends[self._left + 1]
         self._inner_start = lo + 1
         self._inner_len = hi - lo - 1
@@ -219,50 +230,64 @@ class GridSearchOracle:
         self._lipschitz_pad = None if lipschitz is None else lipschitz * width / 2.0
         self._curvature_pad = None if curvature is None else curvature * width**2 / 8.0
 
-    def _evaluate(self, atom: StrategyPoint, idx) -> np.ndarray:
+    def _evaluate(self, others: np.ndarray, idx) -> np.ndarray:
+        """Payoffs at the grid points ``idx`` against ``others``, one opponent point per grid point."""
         pts = self._grid_pts[idx]
-        other = atom.array()
         if self.player == 1:
-            out = self.game.utility(pts, other)
+            out = self.game.utility(pts, others)
         else:
-            out = self.game.utility(other, pts)
+            out = self.game.utility(others, pts)
         self.evaluations += len(pts)
         return np.asarray(out, dtype=float)
 
-    def _entry(self, atom: StrategyPoint, whole: bool = False) -> _Column:
-        """The atom's column.
-
-        A new column is evaluated in one utility call: at the cell
-        endpoints, or at every grid point if ``whole``.
-        """
+    def _entry(self, atom: StrategyPoint) -> _Column:
+        """The atom's column, evaluated at the cell endpoints when new."""
         col = self._columns.get(atom.coords)
         if col is None:
-            values = np.empty(self._grid.size)
-            if whole:
-                values[:] = self._evaluate(atom, slice(None))
-                ends = values[self._ends]
-            else:
-                ends = self._evaluate(atom, self._ends)
-            col = _Column(ends, values, np.full(self._left.size, whole), whole)
+            ends = self._evaluate(atom.array()[None, :], self._ends)
+            col = _Column(ends, self._grid.size, self._left.size)
             self._columns[atom.coords] = col
         return col
 
-    def _fill(self, atom: StrategyPoint, col: _Column, cells: np.ndarray) -> None:
-        """Fill the inner points of those ``cells`` not filled yet, in one utility call."""
-        todo = cells[~col.filled[cells]]
-        if todo.size:
-            idx = _ranges(self._inner_start[todo], self._inner_len[todo])
-            col.values[idx] = self._evaluate(atom, idx)
-            col.filled[todo] = True
+    def _fill(
+        self, atoms: Sequence[StrategyPoint], columns: Sequence[_Column], cells: np.ndarray
+    ) -> None:
+        """Fill each column's inner points on those ``cells`` it lacks, in one utility call."""
+        todo = [cells[~col.filled[cells]] for col in columns]
+        missing = np.concatenate(todo)
+        lengths = self._inner_len[missing]
+        idx = _ranges(self._inner_start[missing], lengths)
+        if idx.size:
+            # Each column's points are one run of ``idx``, in column order.
+            owner = np.repeat(np.arange(len(columns)), [t.size for t in todo])
+            size = np.bincount(owner, weights=lengths, minlength=len(columns)).astype(np.intp)
+            others = np.repeat(np.array([atom.coords for atom in atoms]), size, axis=0)
+            values = self._evaluate(others, idx)
+            stops = np.cumsum(size).tolist()
+            for col, start, stop in zip(columns, [0] + stops, stops):
+                col.values[idx[start:stop]] = values[start:stop]
+        for col, t in zip(columns, todo):
+            col.filled[t] = True
 
-    def _column(self, atom: StrategyPoint) -> np.ndarray:
-        """The atom's payoffs at every grid point."""
-        col = self._entry(atom, whole=True)
-        if not col.full:
-            self._fill(atom, col, self._cells)
-            col.values[self._ends] = col.ends
-            col.full = True
-        return col.values
+    def _kept(self, ends: np.ndarray, total: float, scale: float) -> np.ndarray:
+        """The cells that can hold the grid optimum of a weighted payoff sum.
+
+        ``ends`` is the sum at the cell endpoints, ``total`` the sum of its
+        weights and ``scale`` the weighted sum of the summed columns'
+        ``scale``.  Rounding in the sums scales with the payoffs summed, not
+        with their total, which may cancel; a bound close to the best value
+        has pads of at most twice these payoffs, so they need no slack.
+        Without L or M every bound is infinite and every cell is kept.
+        """
+        # Bound the maximizer's sum; the minimizer's is the negated sum.
+        side = ends if self.player == 1 else -ends
+        a, b = side[self._left], side[self._left + 1]
+        bound = np.full(self._left.size, np.inf)
+        if self._lipschitz_pad is not None:
+            bound = np.minimum(bound, (a + b) / 2.0 + total * self._lipschitz_pad)
+        if self._curvature_pad is not None:
+            bound = np.minimum(bound, np.maximum(a, b) + total * self._curvature_pad)
+        return np.flatnonzero(bound >= side.max() - BOUND_SLACK * scale)
 
     def respond(self, opponent: FiniteMixedStrategy) -> OracleAnswer:
         columns = [self._entry(atom) for atom in opponent.atoms]
@@ -270,44 +295,24 @@ class GridSearchOracle:
         ends = np.zeros(self._ends.size)
         for col, weight in zip(columns, weights):
             ends += weight * col.ends
-        # Bound the maximizer's sum; the minimizer's is the negated sum.
-        # Without L or M every bound is infinite and every cell is kept.
-        side = ends if self.player == 1 else -ends
-        a, b = side[self._left], side[self._left + 1]
-        total = math.fsum(weights)
-        bound = np.full(self._left.size, np.inf)
-        if self._lipschitz_pad is not None:
-            bound = np.minimum(bound, (a + b) / 2.0 + total * self._lipschitz_pad)
-        if self._curvature_pad is not None:
-            bound = np.minimum(bound, np.maximum(a, b) + total * self._curvature_pad)
-        # Rounding in the sums scales with the payoffs summed, not with
-        # their total, which may cancel.  A bound close to the best value
-        # has pads of at most twice these payoffs, so they need no slack.
-        slack = BOUND_SLACK * math.fsum(w * col.scale for col, w in zip(columns, weights))
-        kept = np.flatnonzero(bound >= side.max() - slack)
-
+        kept = self._kept(
+            ends, math.fsum(weights), math.fsum(w * col.scale for col, w in zip(columns, weights))
+        )
+        self._fill(opponent.atoms, columns, kept)
         idx = _ranges(self._inner_start[kept], self._inner_len[kept])
         values = np.zeros(idx.size)
-        for atom, col, weight in zip(opponent.atoms, columns, weights):
-            self._fill(atom, col, kept)
-            if idx.size:
-                values += weight * col.values[idx]
+        for col, weight in zip(columns, weights):
+            values += weight * col.values[idx]
         return self._best(np.concatenate((ends, values)), 1.0, np.concatenate((self._ends, idx)))
 
-    def _best(self, values: np.ndarray, total: float, idx: np.ndarray | None = None) -> OracleAnswer:
+    def _best(self, values: np.ndarray, total: float, idx: np.ndarray) -> OracleAnswer:
         # Best on the undivided sum: dividing first could round distinct
-        # values into ties.  Ties go to the smallest coordinate; ``idx``
-        # gives the grid index of each value when they are not the whole grid.
-        # A NaN among the values makes the best NaN on either path.
-        if idx is None:
-            i = int(np.argmax(values)) if self.player == 1 else int(np.argmin(values))
-            best = values[i]
-        else:
-            best = values.max() if self.player == 1 else values.min()
+        # values into ties.  ``idx`` gives the grid index of each value;
+        # ties go to the smallest.  A NaN among the values makes the best NaN.
+        best = values.max() if self.player == 1 else values.min()
         if not math.isfinite(best):
             raise ModelError(f"utility returned {best} at a searched grid point")
-        if idx is not None:
-            i = int(idx[values == best].min())
+        i = int(idx[values == best].min())
         return OracleAnswer(StrategyPoint((float(self._grid[i]),)), float(best) / total)
 
     def running(self) -> RunningGridResponse:
@@ -318,21 +323,68 @@ class GridSearchOracle:
 class RunningGridResponse:
     """Best response to the uniform mixture over a growing list of atoms.
 
-    Holds ``S = sum_j column(atom_j)`` over every :meth:`add` (an atom added
-    twice counts twice) and answers against ``S / count``.
+    Answers against ``S / count``, where ``S = sum_j column(atom_j)`` over
+    every :meth:`add` in add order (an atom added twice counts twice),
+    with the answer and value of a full scan of ``S``, bit for bit.
+
+    ``S`` is held at the cell endpoints and on the active cells: those
+    that the last :meth:`respond` kept, bounding each cell as
+    :meth:`GridSearchOracle.respond` does with ``count`` as the total
+    weight.  :meth:`add` fills a new atom on the active cells only.  A
+    kept cell that was not active is activated: the history's distinct
+    atoms are filled on it where the oracle's column cache lacks them, in
+    one utility call, and its sums are added up anew over the history in
+    add order.  So every held sum is the one a full-grid running sum would
+    hold, and the search over the endpoints and the kept cells sees every
+    point that can be best.
     """
 
     def __init__(self, oracle: GridSearchOracle):
         self._oracle = oracle
-        self.sum = np.zeros(oracle._grid.size)
+        self._atoms: list[StrategyPoint] = []  # distinct atoms, in first-add order
+        self._columns: list[_Column] = []
+        self._slots: dict[tuple[float, ...], int] = {}
+        self._history: list[int] = []  # the slot of each add
+        self._ends = np.zeros(oracle._ends.size)
+        self._scale = 0.0
+        self._active = np.zeros(oracle._left.size, dtype=bool)
+        self._idx = np.zeros(0, dtype=np.intp)  # inner grid points of the active cells
+        self._sums = np.empty(oracle._grid.size)  # S, held at those points only
         self.count = 0
 
     def add(self, atom: StrategyPoint) -> None:
-        self.sum += self._oracle._column(atom)
+        oracle = self._oracle
+        slot = self._slots.setdefault(atom.coords, len(self._columns))
+        if slot == len(self._columns):
+            # Earlier atoms are filled on the active cells already.
+            col = oracle._entry(atom)
+            oracle._fill([atom], [col], np.flatnonzero(self._active))
+            self._atoms.append(atom)
+            self._columns.append(col)
+        col = self._columns[slot]
+        self._history.append(slot)
         self.count += 1
+        self._ends += col.ends
+        self._scale += col.scale
+        self._sums[self._idx] += col.values[self._idx]
 
     def respond(self) -> OracleAnswer:
-        return self._oracle._best(self.sum, self.count)
+        oracle = self._oracle
+        kept = oracle._kept(self._ends, self.count, self._scale)
+        new = kept[~self._active[kept]]
+        if new.size:
+            oracle._fill(self._atoms, self._columns, new)
+            idx = _ranges(oracle._inner_start[new], oracle._inner_len[new])
+            table = np.stack([col.values[idx] for col in self._columns])[self._history]
+            self._sums[idx] = _row_sums(table)
+        self._active[:] = False
+        self._active[kept] = True
+        self._idx = _ranges(oracle._inner_start[kept], oracle._inner_len[kept])
+        return oracle._best(
+            np.concatenate((self._ends, self._sums[self._idx])),
+            self.count,
+            np.concatenate((oracle._ends, self._idx)),
+        )
 
 
 def grid_best_response(

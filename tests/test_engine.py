@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import double_oracle.engine as engine
 from double_oracle import (
     BlottoGame,
     BlottoGridOracle,
+    DomainError,
     FinitePointOracle,
     GridSearchOracle,
     OracleAnswer,
@@ -19,6 +22,7 @@ from double_oracle import (
     expected_utility,
     make_polynomial_game,
     make_townsend_game,
+    merge_duplicates,
     point,
     run_double_oracle,
     run_fictitious_play,
@@ -244,6 +248,41 @@ def test_streaming_callback_sees_every_record():
     res = run_double_oracle(game, o1, o2, [point(0.0)], [point(0.0)],
                             epsilon=1e-3, on_iteration=seen.append)
     assert seen == res.trace
+
+
+@pytest.mark.parametrize("player", [1, 2])
+def test_bounds_from_profile_rejects_atoms_outside_the_game(player):
+    # g1 is played on [-1, 1]; 5.0 once gave bounds (-84.0, 0.0) unchecked.
+    game, o1, o2 = polynomial_setup(1e-2)
+    inside, outside = dirac(point(0.0)), merge_duplicates([point(0.5), point(5.0)], [0.5, 0.5])
+    profile = (outside, inside) if player == 1 else (inside, outside)
+    with pytest.raises(DomainError, match=f"player {player}"):
+        bounds_from_profile(game, *profile, o1, o2)
+    assert o1.evaluations == o2.evaluations == 0
+
+
+@pytest.mark.parametrize("solver", ["double_oracle", "fictitious_play"])
+def test_record_times_add_up_to_the_run(solver, monkeypatch):
+    """Each record's clock starts where the previous one stopped, so no work goes untimed."""
+    # A fake clock that advances by one on every utility call, the unit of
+    # work in both solvers: building and growing the subgame, oracle
+    # queries, answer checks, and fictitious play's history adds.
+    clock = [0.0]
+    base = make_polynomial_game()
+
+    def utility(x, y):
+        clock[0] += 1.0
+        return base.utility(x, y)
+
+    game = dataclasses.replace(base, utility=utility)
+    monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+    o1, o2 = (GridSearchOracle(game, p, 1e-3, POLYNOMIAL_LIPSCHITZ) for p in (1, 2))
+    if solver == "double_oracle":
+        trace = run_double_oracle(game, o1, o2, [point(0.0)], [point(0.0)], epsilon=1e-6).trace
+    else:
+        trace = run_fictitious_play(game, o1, o2, point(0.0), point(0.0), iters=20).trace
+    assert len(trace) > 2
+    assert sum(rec.time_s for rec in trace) == clock[0]
 
 
 def test_bounds_from_profile_at_a_bad_guess():

@@ -174,12 +174,20 @@ def test_running_answers_match_a_fresh_oracle(grid_run):
 
 
 def test_running_sums_are_the_counted_columns(grid_run):
-    _, _, (o1, o2), made, res = grid_run
-    for oracle, responder, opponent in ((o1, made[1], res.empirical2), (o2, made[2], res.empirical1)):
+    """At every grid point a responder holds, its sum is the count-weighted sum of payoffs."""
+    _, game, _, made, res = grid_run
+    for player, responder, opponent in ((1, made[1], res.empirical2), (2, made[2], res.empirical1)):
         counts = np.rint(opponent.weights_array() * GRID_ROUNDS)
         assert counts.sum() == responder.count == GRID_ROUNDS
-        want = sum(c * oracle._column(atom) for c, atom in zip(counts, opponent.atoms))
-        assert np.abs(responder.sum - want).max() <= 1e-12 * np.abs(want).max()
+        space = game.space1 if player == 1 else game.space2
+        idx = np.concatenate((responder._oracle._ends, responder._idx))
+        held = np.concatenate((responder._ends, responder._sums[responder._idx]))
+        pts = np.sort(space.grid_points(1e-4))[idx, None]
+        want = sum(
+            c * (game.utility(pts, atom.array()) if player == 1 else game.utility(atom.array(), pts))
+            for c, atom in zip(counts, opponent.atoms)
+        )
+        assert np.abs(held - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_oracles_without_running_are_asked_every_round(grid_run):

@@ -24,10 +24,12 @@ from double_oracle import (
     point,
     pure_utility,
     run_double_oracle,
+    run_fictitious_play,
 )
 from double_oracle.one_dim import (
     POLYNOMIAL_LIPSCHITZ,
     TOWNSEND_LIPSCHITZ,
+    _row_sums,
     polynomial_utility,
 )
 
@@ -268,8 +270,60 @@ def test_respond_equals_full_grid_scan(name, player, data):
     responder = oracle.running()
     for atom in queries[0].atoms:
         responder.add(atom)
-        assert np.array_equal(oracle._column(atom), _full_column(game, player, 1e-3, atom)[1])
+        responder.respond()
     assert [oracle.respond(q) for q in reversed(queries)] == expected[::-1]
+
+
+def _held(responder):
+    """The grid indices at which ``responder`` holds its running sum, and the sums there."""
+    idx = np.concatenate((responder._oracle._ends, responder._idx))
+    return idx, np.concatenate((responder._ends, responder._sums[responder._idx]))
+
+
+@pytest.mark.parametrize("player", [1, 2])
+@pytest.mark.parametrize("name", list(GAMES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_running_responder_matches_a_full_column_reference(name, player, data):
+    """Held sums and answers equal a full-grid running sum's, bit for bit, round after round."""
+    # 2 / 0.0154 rounds up to 130 steps on g1: its last cell has one inner point.
+    resolution = data.draw(st.sampled_from([1e-3, 0.0154]))
+    oracle = _oracle(name, player, data.draw(st.booleans()), data.draw(st.booleans()), resolution)
+    game = oracle.game
+    opponent_space = game.space2 if player == 1 else game.space1
+    pool = data.draw(st.lists(_atoms(opponent_space), min_size=1, max_size=5))
+    # (atom, ask) steps; drawing from a small pool repeats atoms.
+    steps = data.draw(st.lists(
+        st.tuples(st.integers(0, len(pool) - 1), st.booleans()), min_size=1, max_size=40
+    ))
+    responder = oracle.running()
+    grid, total = None, 0.0
+    for count, (k, ask) in enumerate(steps, start=1):
+        responder.add(pool[k])
+        grid, column = _full_column(game, player, resolution, pool[k])
+        total = total + column
+        if ask or count == len(steps):
+            answer = responder.respond()
+            i = int(np.argmax(total)) if player == 1 else int(np.argmin(total))
+            assert answer == OracleAnswer(point(float(grid[i])), float(total[i]) / count)
+            assert answer.value.hex() == (float(total[i]) / count).hex()
+            idx, held = _held(responder)
+            assert held.tobytes() == total[idx].tobytes()
+    assert responder.count == len(steps)
+
+
+def test_row_sums_add_rows_in_order():
+    # Magnitudes spread over 16 decades make any other summation order round
+    # differently; the sum of a one-column table must not be pairwise.
+    rng = np.random.default_rng(5)
+    for columns in (1, 2, 63):
+        table = rng.standard_normal((300, columns)) * 10.0 ** rng.integers(-8, 8, (300, columns))
+        total = np.zeros(columns)
+        for row in table:
+            total += row
+        assert _row_sums(table).tobytes() == total.tobytes()
+        # A sum from zeros turns -0.0 into 0.0.
+        assert _row_sums(np.full((3, columns), -0.0)).tobytes() == np.zeros(columns).tobytes()
 
 
 def test_one_point_grid():
@@ -388,6 +442,17 @@ def test_double_oracle_on_g2_evaluates_a_fraction_of_full_columns():
         space = game.space1 if rec.inner.player == 1 else game.space2
         full = len(rec.atoms) * space.grid_points(1e-4).size
         assert rec.inner.evaluations < full / 4
+
+
+def test_fictitious_play_on_g2_evaluates_a_fraction_of_full_columns():
+    game = make_townsend_game()
+    o1, o2 = (GridSearchOracle(game, p, 1e-4, TOWNSEND_LIPSCHITZ) for p in (1, 2))
+    res = run_fictitious_play(game, o1, o2, point(0.0), point(0.0), iters=80)
+    # Each responder was fed exactly the atoms of the final empirical mixtures.
+    for oracle, opponent in ((o1, res.empirical2), (o2, res.empirical1)):
+        space = game.space1 if oracle.player == 1 else game.space2
+        full = opponent.support_size * space.grid_points(1e-4).size
+        assert oracle.evaluations < full / 4
 
 
 # ------------------------------------------------------------ tiled games
