@@ -8,7 +8,7 @@ The default set finishes in a few seconds:
   2. grow the subgame from the three corner allocations with the
      enumeration oracle,
   3. spot-check the exact MILP best response against lattice enumeration
-     for a few opponent mixtures.
+     (``BlottoGridOracle``) for a few opponent mixtures.
 
 ``--heavy`` appends a double-oracle run that calls the MILP oracle every
 iteration, from the corners at c = 1/8 to epsilon = 1e-3.  Each response
@@ -25,9 +25,9 @@ import numpy as np
 
 from double_oracle import (
     BlottoGame,
+    BlottoGridOracle,
     FiniteMixedStrategy,
     allocation,
-    grid_enumeration_best_response,
     milp_best_response,
     simplex_grid,
 )
@@ -52,6 +52,7 @@ def spot_check_oracles(seed: int) -> int:
     rng = np.random.default_rng(seed)
     game = BlottoGame(3, (1.0, 1.0, 1.0), 0.125)
     lattice = simplex_grid(game.n, game.c)
+    enumeration = BlottoGridOracle(game, 1)
 
     corners = [allocation(tuple(float(i == j) for i in range(3))) for j in range(3)]
     picks = rng.choice(len(lattice), size=5, replace=False)
@@ -78,7 +79,7 @@ def spot_check_oracles(seed: int) -> int:
         exact = milp_best_response(mix, game)
         t_milp = time.perf_counter() - t0
         t0 = time.perf_counter()
-        gridded = grid_enumeration_best_response(mix, game)
+        gridded = enumeration.respond(mix)
         t_grid = time.perf_counter() - t0
         ok = exact.value >= gridded.value - 1e-6
         violations += not ok

@@ -7,8 +7,6 @@ from .blotto import (
     allocation,
     blotto_utility,
     build_best_response_milp,
-    grid_enumeration_best_response,
-    l_eval,
     milp_best_response,
     simplex_grid,
 )
@@ -23,7 +21,6 @@ from .core import (
     expected_utility,
     merge_duplicates,
     point,
-    pure_utility,
 )
 from .engine import (
     IterationRecord,
@@ -51,7 +48,6 @@ from .milp import MilpModel, MilpSolution, solve_milp
 from .one_dim import (
     GridSearchOracle,
     duplicate_first_axis,
-    grid_best_response,
     make_polynomial_game,
     make_townsend_game,
 )
@@ -94,15 +90,11 @@ __all__ = [
     "duplicate_first_axis",
     "embed_matrix_game",
     "expected_utility",
-    "grid_best_response",
-    "grid_enumeration_best_response",
-    "l_eval",
     "make_polynomial_game",
     "make_townsend_game",
     "merge_duplicates",
     "milp_best_response",
     "point",
-    "pure_utility",
     "run_double_oracle",
     "run_fictitious_play",
     "simplex_grid",

@@ -17,8 +17,9 @@ Best responses against a finite opponent mixture come in two flavors:
   HiGHS takes (a sparse CSC row matrix, see :mod:`.milp`), and the answer's
   value is the utility of the returned allocation, recomputed from the game
   rather than read off the MILP objective;
-* exhaustive enumeration over the grid of allocations in multiples of a grid
-  spacing ``c``: a :class:`FinitePointOracle` over :func:`simplex_grid`.
+* exhaustive enumeration over the grid of allocations in multiples of the
+  margin ``c``: :class:`BlottoGridOracle`, a :class:`FinitePointOracle` over
+  :func:`simplex_grid`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .core import (
 )
 from .errors import DomainError, ParameterError, ResourceLimitError
 from .milp import MIP_ABS_GAP, MilpModel, csc_from_entries, solve_milp
-from .oracles import FinitePointOracle, OracleAnswer
+from .oracles import FinitePointOracle, OracleAnswer, _check_player
 
 # HiGHS stops within this absolute gap of the optimum.
 MILP_ACCURACY = MIP_ABS_GAP
@@ -70,14 +71,6 @@ class BlottoGame:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
-
-
-def l_eval(z, c: float):
-    """Piecewise-linear contest score: -1 below -c, z/c between, 1 above c."""
-    if c <= 0:
-        raise ParameterError(f"contest margin c must be positive, got {c}")
-    out = np.clip(np.asarray(z, dtype=float) / c, -1.0, 1.0)
-    return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
 def blotto_utility(x: np.ndarray, y: np.ndarray, game: BlottoGame) -> np.ndarray:
@@ -245,28 +238,12 @@ def milp_best_response(opponent: FiniteMixedStrategy, game: BlottoGame) -> Oracl
     return OracleAnswer(StrategyPoint(tuple(float(v) for v in x)), value)
 
 
-def grid_enumeration_best_response(
-    opponent: FiniteMixedStrategy,
-    game: BlottoGame,
-    grid_c: float | None = None,
-) -> OracleAnswer:
-    """Player 1 best response restricted to the ``grid_c``-spaced grid.
-
-    Defaults to the game's own margin ``c``.  Exact over the grid; ties go to
-    the lexicographically smallest allocation.  Grids over
-    :data:`ENUMERATION_LIMIT` points raise :class:`ResourceLimitError`.
-    """
-    return BlottoGridOracle(game, 1, grid_c).respond(opponent)
-
-
 class BlottoMilpOracle:
     """MILP best responses for either player (player 2 via antisymmetry)."""
 
     def __init__(self, game: BlottoGame, player: int):
-        if player not in (1, 2):
-            raise ParameterError(f"player must be 1 or 2, got {player!r}")
         self.game = game
-        self.player = player
+        self.player = _check_player(player)
         self.accuracy = MILP_ACCURACY
         self._warned = False
 
@@ -288,15 +265,16 @@ class BlottoMilpOracle:
 
 
 class BlottoGridOracle(FinitePointOracle):
-    """Enumeration best responses for either player over a fixed grid.
+    """Enumeration best responses for either player over the game's lattice.
 
-    A :class:`FinitePointOracle` over :func:`simplex_grid` with spacing
-    ``grid_c`` (default: the game's margin ``c``).  The declared accuracy of
-    0.0 holds on the grid only.  Start double oracle from grid points: an
-    off-grid subgame strategy can beat every grid response, and the engine
-    then raises :class:`OracleContractError`.
+    A :class:`FinitePointOracle` over :func:`simplex_grid` with the game's
+    margin ``c`` as spacing; ties go to the lexicographically smallest
+    allocation.  The declared accuracy of 0.0 holds on the grid only.
+    Start double oracle from grid points: an off-grid subgame strategy can
+    beat every grid response, and the engine then raises
+    :class:`OracleContractError`.  For another spacing, use a
+    :class:`FinitePointOracle` over that :func:`simplex_grid`.
     """
 
-    def __init__(self, game: BlottoGame, player: int, grid_c: float | None = None):
-        spacing = game.c if grid_c is None else grid_c
-        super().__init__(game_definition(game), player, simplex_grid(game.n, spacing))
+    def __init__(self, game: BlottoGame, player: int):
+        super().__init__(game_definition(game), player, simplex_grid(game.n, game.c))

@@ -64,10 +64,13 @@ def _axis_grid(lo: float, hi: float, resolution: float) -> np.ndarray:
     """Uniform grid over [lo, hi] with spacing <= resolution, endpoints included.
 
     The step count is rounded down when ``(hi - lo) / resolution`` is an
-    integer up to float noise, so round resolutions yield round grids.
+    integer up to float noise, so round resolutions yield round grids.  A
+    degenerate interval (``lo == hi``) gives its one point once.
     """
     if not (resolution > 0):  # NaN fails too
         raise ParameterError(f"grid resolution must be positive, got {resolution!r}")
+    if hi == lo:
+        return np.array([lo])
     span = hi - lo
     raw = span / resolution
     steps = int(round(raw)) if abs(raw - round(raw)) <= 1e-6 * max(1.0, raw) else int(math.ceil(raw))
@@ -97,9 +100,10 @@ class Box:
     def dim(self) -> int:
         return len(self.lower)
 
-    def contains(self, pt: StrategyPoint, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, pt: StrategyPoint) -> bool:
         if pt.dim != self.dim:
             return False
+        tol = MEMBERSHIP_TOL
         return all(a - tol <= c <= b + tol for c, a, b in zip(pt.coords, self.lower, self.upper))
 
     def grid_points(self, resolution: float) -> np.ndarray:
@@ -135,11 +139,11 @@ class IntervalUnion:
     def dim(self) -> int:
         return 1
 
-    def contains(self, pt: StrategyPoint, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, pt: StrategyPoint) -> bool:
         if pt.dim != 1:
             return False
         c = pt.coords[0]
-        return any(a - tol <= c <= b + tol for a, b in self.pieces)
+        return any(a - MEMBERSHIP_TOL <= c <= b + MEMBERSHIP_TOL for a, b in self.pieces)
 
     def grid_points(self, resolution: float) -> np.ndarray:
         return np.concatenate([_axis_grid(a, b, resolution) for a, b in self.pieces])
@@ -162,12 +166,12 @@ class Simplex:
             raise ParameterError(f"simplex dimension must be >= 1, got {self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
 
-    def contains(self, pt: StrategyPoint, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, pt: StrategyPoint) -> bool:
         if pt.dim != self.dim:
             return False
-        if any(c < -tol for c in pt.coords):
+        if any(c < -MEMBERSHIP_TOL for c in pt.coords):
             return False
-        return abs(math.fsum(pt.coords) - 1.0) <= tol
+        return abs(math.fsum(pt.coords) - 1.0) <= MEMBERSHIP_TOL
 
     def sample(self, rng: np.random.Generator) -> StrategyPoint:
         return StrategyPoint(tuple(float(c) for c in rng.dirichlet(np.ones(self.dim))))
@@ -294,13 +298,6 @@ def require_in_space(space: StrategySpace, pt: StrategyPoint, label: str) -> Non
     """Raise :class:`DomainError` naming ``pt`` when it is outside ``space``."""
     if not space.contains(pt):
         raise DomainError(f"{label} strategy {pt.coords} lies outside {space}")
-
-
-def pure_utility(game: GameDefinition, x: StrategyPoint, y: StrategyPoint) -> float:
-    """Evaluate ``u(x, y)`` for a pure strategy pair, with domain checks."""
-    require_in_space(game.space1, x, "player 1")
-    require_in_space(game.space2, y, "player 2")
-    return float(game.utility(x.array(), y.array()))
 
 
 def expected_utility(

@@ -29,7 +29,7 @@ from .core import (
     StrategyPoint,
     require_in_space,
 )
-from .errors import OracleContractError, ParameterError
+from .errors import ModelError, OracleContractError, ParameterError
 from .matrix_game import VALUE_TOL, extend_subgame, solve_zero_sum, subgame_matrix
 from .oracles import BestResponseOracle, OracleAnswer
 
@@ -126,16 +126,6 @@ def _added(points: list[StrategyPoint], candidate: StrategyPoint) -> StrategyPoi
     return candidate if _absorb(points, candidate) == held else None
 
 
-def _checked_answer(
-    oracle: BestResponseOracle,
-    opponent: FiniteMixedStrategy,
-    game: GameDefinition,
-    player: int,
-) -> OracleAnswer:
-    """Ask ``oracle`` for a best response to ``opponent`` and check it."""
-    return _check_answer(oracle.respond(opponent), opponent, game, player)
-
-
 def _check_answer(
     answer: OracleAnswer,
     opponent: FiniteMixedStrategy,
@@ -146,7 +136,9 @@ def _check_answer(
 
     The point must lie in the player's space, and the reported value must
     match the point's payoff against ``opponent``, recomputed from the game
-    (one utility evaluation per opponent atom), within :data:`VALUE_TOL`.
+    (one utility evaluation per opponent atom), within :data:`VALUE_TOL`; a
+    NaN value matches nothing.  A recomputed payoff that is not finite is
+    the game's fault and raises :class:`ModelError`.
     """
     space = game.space1 if player == 1 else game.space2
     if not space.contains(answer.point):
@@ -158,7 +150,11 @@ def _check_answer(
     atoms = opponent.atoms_array()
     payoffs = game.utility(mine, atoms) if player == 1 else game.utility(atoms, mine)
     earned = float(np.asarray(payoffs, dtype=float) @ opponent.weights_array())
-    if abs(earned - answer.value) > VALUE_TOL:
+    if not math.isfinite(earned):
+        raise ModelError(
+            f"utility returned {earned} at player {player}'s answer {answer.point.coords}"
+        )
+    if not (abs(earned - answer.value) <= VALUE_TOL):  # NaN fails too
         raise OracleContractError(
             f"player {player} oracle reported value {answer.value}, but its "
             f"point {answer.point.coords} earns {earned}"
@@ -175,7 +171,7 @@ def _check_against_subgame(
     opponent's equilibrium strategy, so no true best response does worse.
     """
     shortfall = value - answer.value if player == 1 else answer.value - value
-    if shortfall > oracle.accuracy + VALUE_TOL:
+    if not (shortfall <= oracle.accuracy + VALUE_TOL):  # NaN fails too
         raise OracleContractError(
             f"player {player} oracle reported value {answer.value}, but the "
             f"subgame already guarantees {value} (accuracy {oracle.accuracy})"
@@ -214,7 +210,8 @@ def run_double_oracle(
     partial traces.  An oracle answer outside its player's space, whose
     value is not what its point earns, or whose value falls short of the
     subgame value by more than the oracle's accuracy plus :data:`VALUE_TOL`,
-    raises :class:`OracleContractError`.  An oracle whose declared accuracy
+    raises :class:`OracleContractError`; one whose point earns a non-finite
+    payoff raises :class:`ModelError`.  An oracle whose declared accuracy
     is not finite and >= 0 raises :class:`ParameterError` before any query.
     """
     _require_accuracies(oracle1, oracle2)
@@ -231,8 +228,8 @@ def run_double_oracle(
     trace: list[IterationRecord] = []
     for i in range(1, max_iters + 1):
         p_star, q_star, value = solve_zero_sum(subgame)
-        ans1 = _checked_answer(oracle1, q_star, game, 1)
-        ans2 = _checked_answer(oracle2, p_star, game, 2)
+        ans1 = _check_answer(oracle1.respond(q_star), q_star, game, 1)
+        ans2 = _check_answer(oracle2.respond(p_star), p_star, game, 2)
         _check_against_subgame(ans1, oracle1, value, 1)
         _check_against_subgame(ans2, oracle2, value, 2)
         subgame_value = subgame.profile_payoff(p_star, q_star)
@@ -280,6 +277,6 @@ def bounds_from_profile(
         require_in_space(game.space1, atom, "player 1")
     for atom in q.atoms:
         require_in_space(game.space2, atom, "player 2")
-    lower = _checked_answer(oracle2, p, game, 2).value
-    upper = _checked_answer(oracle1, q, game, 1).value
+    lower = _check_answer(oracle2.respond(p), p, game, 2).value
+    upper = _check_answer(oracle1.respond(q), q, game, 1).value
     return lower, upper

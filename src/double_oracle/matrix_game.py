@@ -151,14 +151,6 @@ class MatrixGame:
         held = self.payoff[np.ix_(rows, cols)]
         return float(p.weights_array() @ held @ q.weights_array())
 
-    @classmethod
-    def from_payoff(cls, payoff: Sequence[Sequence[float]]) -> "MatrixGame":
-        """Label rows and columns by their indices (as 1-D points)."""
-        arr = np.asarray(payoff, dtype=float)
-        rows = tuple(StrategyPoint((float(i),)) for i in range(arr.shape[0]))
-        cols = tuple(StrategyPoint((float(j),)) for j in range(arr.shape[1]))
-        return cls(arr, rows, cols)
-
 
 def _require_new(index: dict, strategy: StrategyPoint, axis: str) -> None:
     if strategy in index:

@@ -68,25 +68,16 @@ def csc_from_entries(row, col, data, shape: tuple[int, int]) -> CscMatrix:
     return CscMatrix(shape, indptr, indices, np.asarray(data, dtype=float)[order])
 
 
-def _csc(rows) -> CscMatrix:
-    """``rows`` as a :class:`CscMatrix`; a dense matrix keeps its nonzeros."""
-    if isinstance(rows, CscMatrix):
-        return rows
-    dense = np.asarray(rows, dtype=float)
-    col, row = np.nonzero(dense.T)
-    return csc_from_entries(row, col, dense[row, col], dense.shape)
-
-
 @dataclass(frozen=True)
 class MilpModel:
     """A MILP in the form of the module docstring; ``binary`` is a mask.
 
-    ``rows`` is a :class:`CscMatrix` or a dense array, whose nonzeros
-    HiGHS then gets in the same column-wise form.
+    ``rows`` is a :class:`CscMatrix`, which HiGHS takes as it is; build one
+    from nonzeros with :func:`csc_from_entries`.
     """
 
     objective: np.ndarray
-    rows: CscMatrix | np.ndarray
+    rows: CscMatrix
     row_lower: np.ndarray
     row_upper: np.ndarray
     upper: np.ndarray
@@ -104,7 +95,7 @@ class MilpSolution:
 
 def _highs_lp(model: MilpModel) -> HighsLp:
     """``model`` as HiGHS's minimization of ``-objective``, without the offset."""
-    rows = _csc(model.rows)
+    rows = model.rows
     lp = HighsLp()
     lp.num_row_, lp.num_col_ = rows.shape
     lp.col_cost_ = -np.asarray(model.objective, dtype=float)

@@ -15,7 +15,7 @@ from .core import (
     StrategyPoint,
 )
 from .errors import ModelError, ParameterError
-from .oracles import OracleAnswer
+from .oracles import OracleAnswer, _check_player
 
 DEFAULT_RESOLUTION = 1e-4
 # Conservative Lipschitz bounds (both coordinates) for the built-in games.
@@ -70,7 +70,7 @@ def make_townsend_game() -> GameDefinition:
     )
 
 
-def duplicate_first_axis(base: GameDefinition, name: str = "") -> GameDefinition:
+def duplicate_first_axis(base: GameDefinition) -> GameDefinition:
     """Tile player 1's interval over the disjoint union [0, 1] + [2, 3].
 
     Each copy is an affine reparametrization of the original interval, so the
@@ -98,7 +98,7 @@ def duplicate_first_axis(base: GameDefinition, name: str = "") -> GameDefinition
         IntervalUnion(((0.0, 1.0), (2.0, 3.0))),
         base.space2,
         tiled,
-        name=name or (base.name + "-tiled"),
+        name=base.name + "-tiled",
         curvature=curvature,
     )
 
@@ -190,14 +190,12 @@ class GridSearchOracle:
         resolution: float = DEFAULT_RESOLUTION,
         lipschitz: float | None = None,
     ):
-        if player not in (1, 2):
-            raise ParameterError(f"player must be 1 or 2, got {player!r}")
         if not (math.isfinite(resolution) and resolution > 0):
             raise ParameterError(f"resolution must be finite and > 0, got {resolution}")
         if lipschitz is not None and not (math.isfinite(lipschitz) and lipschitz >= 0):
             raise ParameterError(f"lipschitz bound must be finite and >= 0, got {lipschitz}")
         self.game = game
-        self.player = player
+        self.player = _check_player(player)
         self.resolution = float(resolution)
         self.lipschitz = lipschitz
         space = game.space1 if player == 1 else game.space2
@@ -385,14 +383,3 @@ class RunningGridResponse:
             self.count,
             np.concatenate((oracle._ends, self._idx)),
         )
-
-
-def grid_best_response(
-    opponent: FiniteMixedStrategy,
-    game: GameDefinition,
-    player: int,
-    resolution: float = DEFAULT_RESOLUTION,
-    lipschitz: float | None = None,
-) -> OracleAnswer:
-    """One-shot form of :class:`GridSearchOracle` for a single query."""
-    return GridSearchOracle(game, player, resolution, lipschitz).respond(opponent)

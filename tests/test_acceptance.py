@@ -22,8 +22,6 @@ from double_oracle import (
     dirac,
     duplicate_first_axis,
     embed_matrix_game,
-    grid_enumeration_best_response,
-    l_eval,
     make_polynomial_game,
     make_townsend_game,
     merge_duplicates,
@@ -154,7 +152,7 @@ def test_criterion_5_milp_dominates_enumeration():
             [pts[i] for i in chosen], rng.dirichlet(np.ones(support))
         )
         milp = milp_best_response(mix, game)
-        enum = grid_enumeration_best_response(mix, game)
+        enum = BlottoGridOracle(game, 1).respond(mix)
         if milp.value < enum.value - 1e-6:
             failures.append((trial, milp.value, enum.value))
     elapsed = time.perf_counter() - start
@@ -202,6 +200,11 @@ def fill_points(model, rows, budget, x_j, fills):
     return points
 
 
+def contest_score(z, c):
+    """l(z): -1 below -c, z/c between, 1 above c."""
+    return min(1.0, max(-1.0, z / c))
+
+
 def test_criterion_6_linearization_is_exact():
     rng = np.random.default_rng(42)
     worst = 0.0
@@ -214,13 +217,13 @@ def test_criterion_6_linearization_is_exact():
         model = build_best_response_milp(dirac(point(*y)), game)
         m = model.rows
         rows = csc_array((m.data, m.indices, m.indptr), shape=m.shape).toarray()
-        at_zero = [l_eval(-y[j], c) for j in range(3)]
+        at_zero = [contest_score(-y[j], c) for j in range(3)]
         worst = max(worst, abs(model.offset - sum(at_zero)))
         for j in range(3):
             fills = np.flatnonzero(model.spend[j])
             for fill in fill_points(model, rows, rows[0, fills], x[j], fills):
                 piece = model.objective[fills] @ fill + at_zero[j]
-                worst = max(worst, abs(piece - l_eval(x[j] - y[j], c)))
+                worst = max(worst, abs(piece - contest_score(x[j] - y[j], c)))
             checked += 1
     ok = worst <= 1e-9
     report(6, ok, (

@@ -12,6 +12,7 @@ from double_oracle import (
     BlottoMilpOracle,
     DomainError,
     FiniteMixedStrategy,
+    FinitePointOracle,
     MilpSolution,
     OracleContractError,
     ParameterError,
@@ -20,15 +21,13 @@ from double_oracle import (
     blotto_utility,
     build_best_response_milp,
     dirac,
-    grid_enumeration_best_response,
-    l_eval,
     merge_duplicates,
     milp_best_response,
     point,
     run_double_oracle,
     simplex_grid,
 )
-from double_oracle import blotto, milp
+from double_oracle import blotto
 from double_oracle.blotto import MILP_ACCURACY, game_definition
 
 GAME_8 = BlottoGame(n=3, a=(1.0, 1.0, 1.0), c=0.125)
@@ -52,14 +51,19 @@ def random_grid_mixture(rng, game, support):
 # ----------------------------------------------------------- contest score
 
 def test_contest_score_shape():
-    assert l_eval(0.05, 0.1) == pytest.approx(0.5)
-    assert l_eval(0.0, 0.1) == 0.0
-    assert l_eval(-0.2, 0.1) == -1.0
-    assert l_eval(0.1, 0.1) == 1.0  # saturates exactly at the margin
-    np.testing.assert_allclose(l_eval(np.array([-1.0, 0.025, 1.0]), 0.05),
+    def score(z, c):
+        # x = (z, 0) against y = (0, 0): only the first field is contested.
+        x = np.stack(np.broadcast_arrays(z, 0.0), axis=-1)
+        return blotto_utility(x, np.zeros(2), BlottoGame(2, (1.0, 1.0), c))
+
+    assert score(0.05, 0.1) == pytest.approx(0.5)
+    assert score(0.0, 0.1) == 0.0
+    assert score(-0.2, 0.1) == -1.0
+    assert score(0.1, 0.1) == 1.0  # saturates exactly at the margin
+    np.testing.assert_allclose(score(np.array([-1.0, 0.025, 1.0]), 0.05),
                                [-1.0, 0.5, 1.0])
     with pytest.raises(ParameterError):
-        l_eval(0.5, 0.0)
+        score(0.5, 0.0)
 
 
 def test_utility_examples():
@@ -174,7 +178,7 @@ def reference_segments(opponent, game):
     for j in range(game.n):
         def f(v):
             return game.a[j] * math.fsum(
-                w * l_eval(v - y, game.c) for y, w in zip(atoms[:, j], weights)
+                w * min(1.0, max(-1.0, (v - y) / game.c)) for y, w in zip(atoms[:, j], weights)
             )
 
         inside = {v for y in atoms[:, j] for v in (y - game.c, y + game.c) if 0.0 < v < 1.0}
@@ -262,20 +266,17 @@ def test_model_rows_match_a_per_battlefield_reference():
 
 @pytest.mark.parametrize("c", [1 / 8, 1.0])  # at c = 1 no field breaks inside (0, 1)
 def test_model_rows_are_what_milp_makes_of_dense_rows(c):
-    # The sparse build and solve_milp's conversion of the equivalent dense
-    # rows both give, array for array, the canonical CSC that
-    # scipy.sparse.csc_array makes of the dense matrix: HiGHS's input is
-    # what it was when both went through scipy.sparse.
+    # The sparse build gives, array for array, the canonical CSC that
+    # scipy.sparse.csc_array makes of the equivalent dense rows: HiGHS's
+    # input is what it was when the rows went through scipy.sparse.
     mix = merge_duplicates([point(0.5, 0.25, 0.25), point(0.0, 0.5, 0.5)], [0.5, 0.5])
     game = BlottoGame(3, (1.0, 1.0, 1.0), c)
-    model = build_best_response_milp(mix, game)
-    dense = reference_rows(reference_segments(mix, game))[0]
-    want = csc_array(dense)
-    for got in (model.rows, milp._csc(dense)):
-        assert got.shape == want.shape
-        for part in ("indptr", "indices", "data"):
-            assert getattr(got, part).dtype == getattr(want, part).dtype
-            assert np.array_equal(getattr(got, part), getattr(want, part))
+    got = build_best_response_milp(mix, game).rows
+    want = csc_array(reference_rows(reference_segments(mix, game))[0])
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).dtype == getattr(want, part).dtype
+        assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 # ----------------------------------------------------------- best responses
@@ -418,20 +419,21 @@ def test_milp_best_responses_write_nothing_to_stdout_or_stderr(capfd, queries):
 
 def test_enumeration_prefers_lexicographically_smallest():
     opp = dirac(point(0.375, 0.375, 0.25))
-    ans = grid_enumeration_best_response(opp, GAME_8)
+    ans = BlottoGridOracle(GAME_8, 1).respond(opp)
     assert ans.value == pytest.approx(1.0, abs=1e-12)
     assert ans.point.coords == (0.0, 0.5, 0.5)
 
     tiny = BlottoGame(2, (1.0, 1.0), 0.25)
-    ans2 = grid_enumeration_best_response(dirac(point(1.0, 0.0)), tiny)
+    ans2 = BlottoGridOracle(tiny, 1).respond(dirac(point(1.0, 0.0)))
     # every grid allocation ties at zero, so the first one wins
     assert ans2.point.coords == (0.0, 1.0)
     assert ans2.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_enumeration_respects_grid_override():
+    # A lattice coarser than the game's margin: enumerate it as a point list.
     opp = dirac(point(0.375, 0.375, 0.25))
-    coarse = grid_enumeration_best_response(opp, GAME_8, grid_c=0.5)
+    coarse = FinitePointOracle(game_definition(GAME_8), 1, simplex_grid(3, 0.5)).respond(opp)
     assert all(abs(v * 2 - round(v * 2)) < 1e-9 for v in coarse.point.coords)
 
 
@@ -441,7 +443,7 @@ def test_milp_dominates_enumeration():
         for support in (2, 5):
             mix = random_grid_mixture(rng, game, support)
             milp = milp_best_response(mix, game)
-            enum = grid_enumeration_best_response(mix, game)
+            enum = BlottoGridOracle(game, 1).respond(mix)
             assert milp.value >= enum.value - 1e-6
 
 
@@ -498,7 +500,12 @@ def test_grid_oracle_agrees_with_enumeration():
     rng = np.random.default_rng(17)
     mix = random_grid_mixture(rng, GAME_8, 4)
     o1 = BlottoGridOracle(GAME_8, player=1)
-    assert o1.respond(mix) == grid_enumeration_best_response(mix, GAME_8)
+    grid = simplex_grid(3, 0.125)
+    values = [true_value(g, mix, GAME_8) for g in grid]
+    best = int(np.argmax(values))  # the first of equal values, as the oracle breaks ties
+    ans = o1.respond(mix)
+    assert ans.point == grid[best]
+    assert ans.value == pytest.approx(values[best], abs=1e-12)
     assert o1.accuracy == 0.0
 
 

@@ -19,7 +19,6 @@ from double_oracle import (
     make_polynomial_game,
     merge_duplicates,
     point,
-    pure_utility,
 )
 
 
@@ -74,6 +73,8 @@ def test_box_grid_endpoints_and_spacing():
     # non-divisible spacing rounds the step count up, never stretches spacing
     g2 = Box((0.0,), (1.0,)).grid_points(0.3)
     assert np.diff(g2).max() <= 0.3 + 1e-12
+    # a degenerate interval holds its one point once
+    assert Box((0.5,), (0.5,)).grid_points(1e-3).tolist() == [0.5]
     with pytest.raises(ParameterError):
         Box((0.0, 0.0), (1.0, 1.0)).grid_points(0.1)
     for bad in (0.0, math.nan):
@@ -206,7 +207,7 @@ def test_expected_utility_known_equilibrium_value():
 def test_expected_utility_pure_pure_equals_direct_eval():
     game = make_polynomial_game()
     assert expected_utility(dirac(point(0.3)), dirac(point(-0.4)), game) == pytest.approx(
-        pure_utility(game, point(0.3), point(-0.4)), abs=1e-15
+        float(game.utility(np.array([0.3]), np.array([-0.4]))), abs=1e-15
     )
 
 

@@ -9,9 +9,12 @@ import double_oracle.engine as engine
 from double_oracle import (
     BlottoGame,
     BlottoGridOracle,
+    Box,
     DomainError,
     FinitePointOracle,
+    GameDefinition,
     GridSearchOracle,
+    ModelError,
     OracleAnswer,
     OracleContractError,
     ParameterError,
@@ -187,33 +190,70 @@ def test_value_lying_oracle_is_caught():
 
 
 class Overstating:
-    """Answers like ``inner`` but reports 0.5 more than its point earns."""
+    """Answers like ``inner`` but reports ``shift`` more than its point earns."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, shift=0.5):
         self.inner = inner
+        self.shift = shift
         self.accuracy = inner.accuracy
 
     def respond(self, opponent):
         answer = self.inner.respond(opponent)
-        return OracleAnswer(answer.point, answer.value + 0.5)
+        return OracleAnswer(answer.point, answer.value + self.shift)
 
 
-@pytest.mark.parametrize("solver", ["double_oracle", "fictitious_play"])
-def test_value_overstating_oracle_is_caught(solver):
+@pytest.mark.parametrize("solver, shift", [
+    pytest.param("double_oracle", 0.5, id="double_oracle"),
+    pytest.param("fictitious_play", 0.5, id="fictitious_play"),
+    # A NaN value fails every comparison, so a check must reject what is
+    # not within tolerance, not only what is beyond it.
+    pytest.param("double_oracle", math.nan, id="double_oracle-nan"),
+    pytest.param("fictitious_play", math.nan, id="fictitious_play-nan"),
+])
+def test_value_overstating_oracle_is_caught(solver, shift):
     # The inflated upper bound sits above the subgame value, so only the
     # recheck of the value against the returned point can catch it.
     game, o1, o2 = polynomial_setup(1e-2)
+    liar = Overstating(o1, shift)
     with pytest.raises(OracleContractError, match="player 1"):
         if solver == "double_oracle":
-            run_double_oracle(game, Overstating(o1), o2, [point(0.0)], [point(0.0)])
+            run_double_oracle(game, liar, o2, [point(0.0)], [point(0.0)])
         else:
-            run_fictitious_play(game, Overstating(o1), o2, point(0.0), point(0.0), iters=3)
+            run_fictitious_play(game, liar, o2, point(0.0), point(0.0), iters=3)
 
 
 def test_bounds_from_profile_rechecks_values():
     game, o1, o2 = polynomial_setup(1e-2)
-    with pytest.raises(OracleContractError, match="player 2"):
-        bounds_from_profile(game, dirac(point(0.0)), dirac(point(0.0)), o1, Overstating(o2))
+    for shift in (0.5, math.nan):
+        with pytest.raises(OracleContractError, match="player 2"):
+            bounds_from_profile(
+                game, dirac(point(0.0)), dirac(point(0.0)), o1, Overstating(o2, shift)
+            )
+
+
+def nan_corner_setup():
+    """u(x, y) = x y on [0, 1]^2 but NaN at (1, 1), with oracles over {0, 0.5, 1}."""
+    unit = Box((0.0,), (1.0,))
+
+    def utility(x, y):
+        x, y = np.broadcast_arrays(x[..., 0], y[..., 0])
+        return np.where((x == 1.0) & (y == 1.0), np.nan, x * y)
+
+    game = GameDefinition(unit, unit, utility)
+    pts = [point(0.0), point(0.5), point(1.0)]
+    return game, FinitePointOracle(game, 1, pts), FinitePointOracle(game, 2, pts)
+
+
+@pytest.mark.parametrize("solver", ["fictitious_play", "bounds_from_profile"])
+def test_nan_payoff_at_an_answer_is_a_model_error(solver):
+    # Against y = 1 the exhaustive oracle picks x = 1, whose payoff is NaN;
+    # left unchecked, it makes every bound and subgame value of the run NaN.
+    game, o1, o2 = nan_corner_setup()
+    with pytest.raises(ModelError, match="utility returned nan"):
+        if solver == "fictitious_play":
+            run_fictitious_play(game, o1, o2, point(1.0), point(1.0), iters=5)
+        else:
+            bounds_from_profile(game, dirac(point(1.0)), dirac(point(1.0)), o1, o2)
 
 
 @pytest.mark.parametrize("accuracy", [math.inf, math.nan, -1.0])

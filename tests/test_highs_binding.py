@@ -45,8 +45,9 @@ def test_one_binding_in_either_import_order(scipy_optimize_first):
         import sys
         if {scipy_optimize_first}:
             import scipy.optimize
-        from double_oracle import MatrixGame, matrix_game, milp, solve_zero_sum
-        value = solve_zero_sum(MatrixGame.from_payoff([[0, -1, 1], [1, 0, -1], [-1, 1, 0]]))[2]
+        from double_oracle import embed_matrix_game, matrix_game, milp, solve_zero_sum, subgame_matrix
+        rps = embed_matrix_game([[0, -1, 1], [1, 0, -1], [-1, 1, 0]])
+        value = solve_zero_sum(subgame_matrix(*rps))[2]
         assert abs(value) < 1e-9, value
 
         import scipy.optimize

@@ -61,14 +61,14 @@ def test_subgame_rejects_points_outside_spaces():
 
 
 def test_rock_paper_scissors_is_uniform():
-    p, q, value = solve_zero_sum(MatrixGame.from_payoff(RPS))
+    p, q, value = solve_zero_sum(subgame_matrix(*embed_matrix_game(RPS)))
     assert value == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(sorted(p.weights), [1 / 3] * 3, atol=1e-9)
     np.testing.assert_allclose(sorted(q.weights), [1 / 3] * 3, atol=1e-9)
 
 
 def test_matching_pennies():
-    p, q, value = solve_zero_sum(MatrixGame.from_payoff(PENNIES))
+    p, q, value = solve_zero_sum(subgame_matrix(*embed_matrix_game(PENNIES)))
     assert value == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(p.weights, [0.5, 0.5], atol=1e-9)
 
@@ -88,7 +88,7 @@ def test_certificate_on_random_games():
     rng = np.random.default_rng(2024)
     for _ in range(25):
         A = rng.normal(size=rng.integers(1, 7, size=2))
-        p, q, value = solve_zero_sum(MatrixGame.from_payoff(A))
+        p, q, value = solve_zero_sum(subgame_matrix(*embed_matrix_game(A)))
         pw = np.asarray(p.weights)
         qw = np.asarray(q.weights)
         rows = np.asarray([a.coords[0] for a in p.atoms], dtype=int)
@@ -105,16 +105,16 @@ def test_certificate_on_random_games():
 def test_shift_invariance():
     rng = np.random.default_rng(8)
     A = rng.normal(size=(4, 6))
-    _, _, v = solve_zero_sum(MatrixGame.from_payoff(A))
-    _, _, v_shifted = solve_zero_sum(MatrixGame.from_payoff(A + 3.7))
+    _, _, v = solve_zero_sum(subgame_matrix(*embed_matrix_game(A)))
+    _, _, v_shifted = solve_zero_sum(subgame_matrix(*embed_matrix_game(A + 3.7)))
     assert v_shifted == pytest.approx(v + 3.7, abs=1e-9)
 
 
 def test_transposition_negates_value():
     rng = np.random.default_rng(9)
     A = rng.normal(size=(5, 3))
-    _, _, v = solve_zero_sum(MatrixGame.from_payoff(A))
-    _, _, v_t = solve_zero_sum(MatrixGame.from_payoff(-A.T))
+    _, _, v = solve_zero_sum(subgame_matrix(*embed_matrix_game(A)))
+    _, _, v_t = solve_zero_sum(subgame_matrix(*embed_matrix_game(-A.T)))
     assert v_t == pytest.approx(-v, abs=1e-9)
 
 
@@ -138,7 +138,7 @@ def test_matrix_game_validation():
     with pytest.raises(ModelError):
         MatrixGame(np.zeros((2, 2)), (point(0.0),), (point(0.0), point(1.0)))
     with pytest.raises(ModelError):
-        MatrixGame.from_payoff([[np.nan]])
+        MatrixGame(np.array([[np.nan]]), (point(0.0),), (point(0.0),))
 
 
 def test_repeated_labels_are_rejected():
@@ -146,7 +146,7 @@ def test_repeated_labels_are_rejected():
         MatrixGame(np.zeros((2, 1)), (point(0.0), point(0.0)), (point(1.0),))
     with pytest.raises(ModelError):
         MatrixGame(np.zeros((1, 2)), (point(0.0),), (point(1.0), point(1.0)))
-    mg = MatrixGame.from_payoff(PENNIES)
+    mg = subgame_matrix(*embed_matrix_game(PENNIES))
     with pytest.raises(ModelError):
         mg.add_row(point(1.0), [0.0, 0.0])
     with pytest.raises(ModelError):
@@ -293,7 +293,7 @@ def grown_pennies(monkeypatch, failures):
     """Matching pennies solved once, then grown by one row, on a flaky model."""
     FlakyHighs.made.clear()
     monkeypatch.setattr(matrix_game, "_Highs", lambda: FlakyHighs(0))
-    mg = MatrixGame.from_payoff(PENNIES)
+    mg = subgame_matrix(*embed_matrix_game(PENNIES))
     solve_zero_sum(mg)
     flaky = FlakyHighs.made[0]
     flaky.failures = flaky.runs + failures

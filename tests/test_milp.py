@@ -18,19 +18,27 @@ from double_oracle import (
     solve_milp,
 )
 from double_oracle import milp
+from double_oracle.milp import csc_from_entries
 
 
-def model(objective, rows, row_upper, binary=()):
-    """max objective @ x s.t. rows @ x <= row_upper, 0 <= x <= 1."""
-    n = len(objective)
+def model(objective, rows, row_upper, row_lower=-np.inf, upper=1.0, binary=()):
+    """max objective @ x s.t. row_lower <= rows @ x <= row_upper, 0 <= x <= upper.
+
+    ``rows`` is given dense; the model holds its nonzeros as a CscMatrix.
+    """
+    objective = np.asarray(objective, dtype=float)
+    n = objective.size
+    dense = np.asarray(rows, dtype=float).reshape(-1, n)
+    row, col = np.nonzero(dense)
+    row_upper = np.asarray(row_upper, dtype=float)
     mask = np.zeros(n, dtype=bool)
     mask[list(binary)] = True
     return MilpModel(
-        objective=np.asarray(objective, dtype=float),
-        rows=np.asarray(rows, dtype=float),
-        row_lower=np.full(len(row_upper), -np.inf),
-        row_upper=np.asarray(row_upper, dtype=float),
-        upper=np.ones(n),
+        objective=objective,
+        rows=csc_from_entries(row, col, dense[row, col], dense.shape),
+        row_lower=np.full(row_upper.shape, row_lower, dtype=float),
+        row_upper=row_upper,
+        upper=np.full(n, upper, dtype=float),
         binary=mask,
     )
 
@@ -41,6 +49,17 @@ def binary_knapsack(values, weights, capacity):
 
 def objective_at(m, x):
     return float(m.objective @ x) + m.offset
+
+
+def feasibility_violation(m, rows, x):
+    """Largest constraint or bound violation of x; ``rows`` is m's dense row matrix."""
+    v = rows @ x
+    return max(
+        float(np.max(m.row_lower - v, initial=0.0)),
+        float(np.max(v - m.row_upper, initial=0.0)),
+        float(np.max(-x, initial=0.0)),
+        float(np.max(x - m.upper, initial=0.0)),
+    )
 
 
 def test_single_binary_rounds_down():
@@ -143,3 +162,96 @@ def test_non_optimal_run_is_retried_once_with_defaults(monkeypatch):
     paid = blotto_utility(np.asarray(ans.point.coords), opponent.atoms[0].array(), game)
     assert float(paid) == ans.value
 
+
+# ------------------------------------------------ continuous models
+# No binary variables: these check the translation of the model form
+# (two-sided rows, upper bounds) into HiGHS, and that a model without an
+# optimum raises.
+
+def test_two_variable_box():
+    m = model([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0], upper=np.inf)
+    sol = solve_milp(m)
+    assert objective_at(m, sol.x) == pytest.approx(3.0, abs=1e-9)
+    np.testing.assert_allclose(sol.x, [1.0, 2.0], atol=1e-9)
+
+
+def test_conflicting_row_is_infeasible():
+    # x >= 0 always, so x <= -1 cannot hold
+    with pytest.raises(ModelError, match="Infeasible"):
+        solve_milp(model([1.0], [[1.0]], [-1.0], upper=np.inf))
+
+
+def test_missing_upper_bound_is_unbounded():
+    with pytest.raises(ModelError, match="Unbounded"):
+        solve_milp(model([1.0], [[1.0]], [np.inf], row_lower=[2.0], upper=np.inf))
+
+
+def test_no_constraints_at_all():
+    with pytest.raises(ModelError):
+        solve_milp(model([1.0], np.zeros((0, 1)), [], upper=np.inf))
+    capped = solve_milp(model([1.0], np.zeros((0, 1)), [], upper=4.0))
+    assert capped.x[0] == pytest.approx(4.0)
+
+
+def test_matching_pennies_row_program():
+    # reciprocal program for the +2-shifted matrix [[3, 1], [1, 3]]:
+    # max -sum(p') subject to S^T p' >= 1; the shifted value is 1/sum(p')
+    shifted = np.array([[3.0, 1.0], [1.0, 3.0]])
+    sol = solve_milp(
+        model([-1.0, -1.0], shifted.T, [np.inf, np.inf], row_lower=[1.0, 1.0], upper=np.inf)
+    )
+    total = float(sol.x.sum())
+    assert 1.0 / total == pytest.approx(2.0, abs=1e-9)
+    np.testing.assert_allclose(sol.x / total, [0.5, 0.5], atol=1e-9)
+
+
+def test_equality_row():
+    m = model([1.0, 1.0], [[1.0, 1.0]], [1.0], row_lower=[1.0], upper=np.inf)
+    sol = solve_milp(m)
+    assert objective_at(m, sol.x) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_fixed_variable():
+    # an upper bound of 0 pins x at its lower bound despite the objective
+    sol = solve_milp(model([1.0], np.zeros((0, 1)), [], upper=0.0))
+    assert sol.x[0] == 0.0
+
+
+def test_beale_degenerate_program_terminates():
+    """Classic cycling example for naive Dantzig pricing; must still finish."""
+    m = model(
+        [0.75, -150.0, 0.02, -6.0],
+        [
+            [0.25, -60.0, -0.04, 9.0],
+            [0.5, -90.0, -0.02, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ],
+        [0.0, 0.0, 1.0],
+        upper=np.inf,
+    )
+    sol = solve_milp(m)
+    assert objective_at(m, sol.x) == pytest.approx(0.05, abs=1e-9)
+    np.testing.assert_allclose(sol.x, [0.04, 0.0, 1.0, 0.0], atol=1e-9)
+
+
+def test_strong_duality_on_random_programs():
+    """Primal and dual optima agree on random bounded-feasible pairs.
+
+    Primal: max c@x s.t. Ax <= b, x >= 0 (one row of ones keeps it bounded,
+    b > 0 keeps x = 0 feasible).  Dual: min b@y s.t. A^T y >= c, y >= 0,
+    solved through the same code path as max -b@y.
+    """
+    rng = np.random.default_rng(12345)
+    for _ in range(10):
+        A = rng.uniform(-1.0, 1.0, size=(5, 8))
+        A = np.vstack([A, np.ones(8)])
+        b = np.concatenate([rng.uniform(0.5, 2.0, size=5), [10.0]])
+        c = rng.uniform(-1.0, 1.0, size=8)
+
+        primal_lp = model(c, A, b, upper=np.inf)
+        dual_lp = model(-b, -A.T, -c, upper=np.inf)
+        x = solve_milp(primal_lp).x
+        dual = objective_at(dual_lp, solve_milp(dual_lp).x)
+
+        assert objective_at(primal_lp, x) == pytest.approx(-dual, abs=1e-6)
+        assert feasibility_violation(primal_lp, A, x) <= 1e-8

@@ -17,12 +17,11 @@ from double_oracle import (
     Simplex,
     dirac,
     duplicate_first_axis,
-    grid_best_response,
+    expected_utility,
     make_polynomial_game,
     make_townsend_game,
     merge_duplicates,
     point,
-    pure_utility,
     run_double_oracle,
     run_fictitious_play,
 )
@@ -36,26 +35,31 @@ from double_oracle.one_dim import (
 Q_STAR = FiniteMixedStrategy((point(1.0), point(-1.0)), (0.78, 0.22))
 
 
+def payoff(game, x, y):
+    """u(x, y) at one pair of 1-D points."""
+    return expected_utility(dirac(point(x)), dirac(point(y)), game)
+
+
 # ------------------------------------------------------------ game payoffs
 
 def test_polynomial_payoffs():
     game = make_polynomial_game()
-    assert pure_utility(game, point(0.2), point(1.0)) == pytest.approx(-0.48, abs=1e-15)
-    assert pure_utility(game, point(0.0), point(0.0)) == 0.0
-    assert pure_utility(game, point(1.0), point(1.0)) == pytest.approx(0.0, abs=1e-15)
+    assert payoff(game, 0.2, 1.0) == pytest.approx(-0.48, abs=1e-15)
+    assert payoff(game, 0.0, 0.0) == 0.0
+    assert payoff(game, 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
     assert game.space1 == Box((-1.0,), (1.0,))
     assert game.space2 == Box((-1.0,), (1.0,))
 
 
 def test_townsend_payoffs():
     game = make_townsend_game()
-    assert pure_utility(game, point(0.0), point(0.0)) == pytest.approx(-1.0)
-    assert pure_utility(game, point(0.0), point(1.0)) == pytest.approx(
+    assert payoff(game, 0.0, 0.0) == pytest.approx(-1.0)
+    assert payoff(game, 0.0, 1.0) == pytest.approx(
         -0.9900332889206209, abs=1e-12
     )
     # with x = 0.1 the cosine factor pins at -1 and only the sine term moves
     for y in (-2.0, 0.0, 1.5):
-        assert pure_utility(game, point(0.1), point(y)) == pytest.approx(
+        assert payoff(game, 0.1, y) == pytest.approx(
             -1.0 - 0.1 * math.sin(0.3 + y), abs=1e-12
         )
     assert game.space1 == Box((-2.25,), (2.5,))
@@ -66,7 +70,7 @@ def test_townsend_payoffs():
 
 def test_best_response_to_equilibrium_mixture():
     game = make_polynomial_game()
-    ans = grid_best_response(Q_STAR, game, player=1)
+    ans = GridSearchOracle(game, 1).respond(Q_STAR)
     assert ans.point.coords[0] == pytest.approx(0.2, abs=1e-9)
     assert ans.value == pytest.approx(-0.48, abs=1e-9)
 
@@ -74,7 +78,7 @@ def test_best_response_to_equilibrium_mixture():
 def test_minimizer_pushes_to_an_endpoint():
     # against x = 0.2 the payoff is -0.08 - 0.4 y^2, minimized at y = +-1
     game = make_polynomial_game()
-    ans = grid_best_response(dirac(point(0.2)), game, player=2)
+    ans = GridSearchOracle(game, 2).respond(dirac(point(0.2)))
     assert abs(ans.point.coords[0]) == 1.0
     assert ans.value == pytest.approx(-0.48, abs=1e-9)
 
@@ -84,7 +88,7 @@ def test_constant_game_returns_leftmost_point():
     flat = GameDefinition(unit, unit, lambda x, y: np.broadcast_arrays(
         x[..., 0], y[..., 0])[0] * 0.0 + 3.25)
     for player in (1, 2):
-        ans = grid_best_response(dirac(point(0.5)), flat, player, resolution=0.1)
+        ans = GridSearchOracle(flat, player, resolution=0.1).respond(dirac(point(0.5)))
         assert ans.point.coords[0] == 0.0
         assert ans.value == 3.25
 
@@ -109,8 +113,8 @@ def test_answer_dominates_every_grid_point():
 def test_finer_grids_never_hurt_the_maximizer():
     game = make_polynomial_game()
     # 0.25 divides 0.5, so the coarse grid is a subset of the fine one
-    coarse = grid_best_response(Q_STAR, game, 1, resolution=0.5)
-    fine = grid_best_response(Q_STAR, game, 1, resolution=0.25)
+    coarse = GridSearchOracle(game, 1, resolution=0.5).respond(Q_STAR)
+    fine = GridSearchOracle(game, 1, resolution=0.25).respond(Q_STAR)
     assert fine.value >= coarse.value - 1e-12
 
 
@@ -124,8 +128,7 @@ def test_grid_value_within_declared_accuracy(w, y1, y2):
     game = make_polynomial_game()
     mix = merge_duplicates([point(y1), point(y2)], [w, 1.0 - w])
     res = 0.01
-    ans = grid_best_response(mix, game, 1, resolution=res,
-                             lipschitz=POLYNOMIAL_LIPSCHITZ)
+    ans = GridSearchOracle(game, 1, res, POLYNOMIAL_LIPSCHITZ).respond(mix)
 
     # U(x, mix) = -2 x^2 + (5 m1 - 2 m2) x - m1 where m1 = E[y], m2 = E[y^2]
     ws = np.array([w, 1.0 - w]) / 1.0
@@ -330,12 +333,19 @@ def test_one_point_grid():
     # A degenerate interval has one grid point and no cells.
     game = GameDefinition(Box((0.5,), (0.5,)), Box((0.0,), (1.0,)), polynomial_utility, curvature=(4.0, 4.0))
     oracle = GridSearchOracle(game, 1, 1e-3, POLYNOMIAL_LIPSCHITZ)
+    assert oracle._grid.tolist() == [0.5]
     y = point(0.25)
     value = float(polynomial_utility(np.array([0.5]), y.array()))
     assert oracle.respond(dirac(y)) == OracleAnswer(point(0.5), value)
+    assert oracle.evaluations == 1
     responder = oracle.running()
     responder.add(y)
     assert responder.respond() == OracleAnswer(point(0.5), value)
+    # Against x = 0.5, u = -0.5 + 1.5 y - y^2 is least at y = 0.
+    o2 = GridSearchOracle(game, 2, 1e-3, POLYNOMIAL_LIPSCHITZ)
+    res = run_double_oracle(game, oracle, o2, [point(0.5)], [y], epsilon=1e-9)
+    assert res.terminated_by == "gap"
+    assert res.value == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_lipschitz_bound_is_exact_at_a_kink():
@@ -464,9 +474,9 @@ def test_tiled_game_repeats_payoffs():
     assert tiled.space2 == base.space2
     for s, y in [(0.6, 0.3), (0.0, -1.0), (1.0, 0.5)]:
         mapped = -1.0 + 2.0 * s
-        want = pure_utility(base, point(mapped), point(y))
-        assert pure_utility(tiled, point(s), point(y)) == pytest.approx(want, abs=1e-12)
-        assert pure_utility(tiled, point(s + 2.0), point(y)) == pytest.approx(
+        want = payoff(base, mapped, y)
+        assert payoff(tiled, s, y) == pytest.approx(want, abs=1e-12)
+        assert payoff(tiled, s + 2.0, y) == pytest.approx(
             want, abs=1e-12
         )
 
