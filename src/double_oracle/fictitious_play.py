@@ -148,8 +148,8 @@ def run_fictitious_play(
         if on_iteration is not None:
             on_iteration(record)
         if i < iters:
-            # The representative's column, not the raw answer's, so that
-            # each running sum is exactly sum_j count_j * column(rep_j).
+            # The representative's payoffs, not the raw answer's, so that
+            # each running sum is exactly sum_j count_j * payoffs(rep_j).
             best2.add(emp1.add(ans1.point))
             best1.add(emp2.add(ans2.point))
     return FictitiousPlayResult(trace, emp1.mixture(), emp2.mixture())

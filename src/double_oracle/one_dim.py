@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -103,24 +102,6 @@ def duplicate_first_axis(base: GameDefinition) -> GameDefinition:
     )
 
 
-class _Column:
-    """One opponent atom's payoffs over the grid, filled cell by cell.
-
-    ``ends`` holds the payoffs at the cell endpoints.  ``values`` has one
-    slot per grid point; it holds the inner points of cell ``c`` once
-    ``filled[c]`` is set.  The endpoints stay out of ``values``: writing
-    them would touch every memory page of a column that most queries read
-    only a few cells of.  ``scale``, the largest endpoint magnitude, sizes
-    the float slack of the cell bound test.
-    """
-
-    def __init__(self, ends: np.ndarray, size: int, cells: int):
-        self.ends = ends
-        self.values = np.empty(size)
-        self.filled = np.zeros(cells, dtype=bool)
-        self.scale = float(np.max(np.abs(ends)))
-
-
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The index runs ``starts[i] : starts[i] + lengths[i]``, concatenated."""
     offsets = np.cumsum(lengths) - lengths
@@ -137,6 +118,19 @@ def _row_sums(table: np.ndarray) -> np.ndarray:
     if table.shape[1] == 1:
         return np.add.accumulate(np.append(0.0, table[:, 0]))[-1:]
     return np.add.reduce(table, axis=0, initial=0.0)
+
+
+def _grown(array: np.ndarray, used: int, size: int) -> np.ndarray:
+    """``array``, or a copy of its first ``used`` rows with room for ``size`` rows.
+
+    A copy at least doubles the capacity, so it never exceeds twice the rows
+    asked for, and growing row by row copies each row O(1) times on average.
+    """
+    if size <= len(array):
+        return array
+    out = np.empty((max(size, 2 * len(array)),) + array.shape[1:], dtype=array.dtype)
+    out[:used] = array[:used]
+    return out
 
 
 class GridSearchOracle:
@@ -165,22 +159,29 @@ class GridSearchOracle:
     and ``M`` are valid bounds and the utility computes each point on its
     own (as NumPy's elementwise functions do).  With neither bound
     declared every bound is infinite, so every cell is kept and each
-    atom's column is filled in full.  A NaN payoff at a searched point, or
+    atom is filled on every cell.  A NaN payoff at a searched point, or
     an infinite best value, raises :class:`~.errors.ModelError`.
 
-    Payoffs are cached per distinct opponent atom in one column of grid
-    length, filled lazily: the cell endpoints when the atom first appears,
-    then each cell the first time a query keeps it.  A query's values do
-    not depend on which cells earlier queries filled.  ``evaluations``
-    counts the utility points evaluated so far.
+    Payoffs are cached per distinct opponent atom in one packed store,
+    filled lazily: an atom's payoffs at the cell endpoints when it first
+    appears, then a cell's inner points the first time a query keeps that
+    cell for that atom.  The inner points of a filled (atom, cell) pair are
+    one row of ``CELL_POINTS - 1`` values, zero past the end of a short
+    cell, and an atoms-by-cells slot table gives each pair's row.  Every
+    store array starts empty and doubles when full, so the cache grows with
+    the pairs filled, not with the grid.  A query's values do not depend on
+    which cells earlier queries filled.  ``evaluations`` counts the utility
+    points evaluated so far.
 
     Fictitious play, whose opponent mixture changes by one count a round,
     uses :meth:`running` instead: a responder that keeps the running
     payoff sum at the cell endpoints and on the cells the last round kept,
     prunes with the same bound, and fills a new atom on those cells only
     (see :class:`RunningGridResponse`).  The running sum lives in the
-    responder, not in the oracle, so :meth:`respond` stays a pure function
-    of its query; both fill the same column cache.
+    responder, not in the oracle, so an answer of :meth:`respond` depends
+    only on its query; both fill the same store.  Every query changes the
+    store and ``evaluations``, so one oracle must not be queried from two
+    threads at once.
     """
 
     def __init__(
@@ -201,7 +202,6 @@ class GridSearchOracle:
         space = game.space1 if player == 1 else game.space2
         self._grid = np.sort(space.grid_points(resolution))
         self._grid_pts = self._grid[:, None]
-        self._columns: dict[tuple[float, ...], _Column] = {}
         self.evaluations = 0
         self.accuracy = 0.0 if lipschitz is None else lipschitz * resolution / 2.0
 
@@ -223,10 +223,21 @@ class GridSearchOracle:
         lo, hi = self._ends[self._left], self._ends[self._left + 1]
         self._inner_start = lo + 1
         self._inner_len = hi - lo - 1
+        # Cells with fewer inner points: at most the last cell of each interval.
+        self._short = np.flatnonzero(self._inner_len < CELL_POINTS - 1).tolist()
         width = self._grid[hi] - self._grid[lo]
         curvature = None if game.curvature is None else game.curvature[player - 1]
         self._lipschitz_pad = None if lipschitz is None else lipschitz * width / 2.0
         self._curvature_pad = None if curvature is None else curvature * width**2 / 8.0
+
+        # The payoff store, indexed by atom id in first-query order.
+        self._ids: dict[tuple[float, ...], int] = {}
+        self._coords: list[tuple[float, ...]] = []
+        self._end_values = np.empty((0, self._ends.size))  # payoffs at the cell endpoints
+        self._scale = np.empty(0)  # largest endpoint magnitude, for the bound test's slack
+        self._slot = np.empty((0, self._left.size), dtype=np.int32)  # row of each cell, or -1
+        self._rows = np.empty((0, CELL_POINTS - 1))
+        self._used = 0  # rows of ``_rows`` in use
 
     def _evaluate(self, others: np.ndarray, idx) -> np.ndarray:
         """Payoffs at the grid points ``idx`` against ``others``, one opponent point per grid point."""
@@ -238,40 +249,52 @@ class GridSearchOracle:
         self.evaluations += len(pts)
         return np.asarray(out, dtype=float)
 
-    def _entry(self, atom: StrategyPoint) -> _Column:
-        """The atom's column, evaluated at the cell endpoints when new."""
-        col = self._columns.get(atom.coords)
-        if col is None:
+    def _id(self, atom: StrategyPoint) -> int:
+        """The atom's id in the store, evaluated at the cell endpoints when new."""
+        i = self._ids.get(atom.coords)
+        if i is None:
             ends = self._evaluate(atom.array()[None, :], self._ends)
-            col = _Column(ends, self._grid.size, self._left.size)
-            self._columns[atom.coords] = col
-        return col
+            i = len(self._coords)
+            self._end_values = _grown(self._end_values, i, i + 1)
+            self._scale = _grown(self._scale, i, i + 1)
+            self._slot = _grown(self._slot, i, i + 1)
+            self._end_values[i] = ends
+            self._scale[i] = np.max(np.abs(ends))
+            self._slot[i] = -1
+            self._ids[atom.coords] = i
+            self._coords.append(atom.coords)
+        return i
 
-    def _fill(
-        self, atoms: Sequence[StrategyPoint], columns: Sequence[_Column], cells: np.ndarray
-    ) -> None:
-        """Fill each column's inner points on those ``cells`` it lacks, in one utility call."""
-        todo = [cells[~col.filled[cells]] for col in columns]
-        missing = np.concatenate(todo)
-        lengths = self._inner_len[missing]
-        idx = _ranges(self._inner_start[missing], lengths)
+    def _fill(self, ids: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """``_rows`` indices of the ``ids`` x ``cells`` pairs.
+
+        Pairs the store lacks are filled first, in one utility call and one block write.
+        """
+        slots = self._slot[ids[:, None], cells]
+        # Positions in ``ids`` and ``cells`` of the missing pairs, atom by atom.
+        atom, at = np.nonzero(slots < 0)
+        if not atom.size:
+            return slots
+        cell = cells[at]
+        lengths = self._inner_len[cell]
+        idx = _ranges(self._inner_start[cell], lengths)
+        start, stop = self._used, self._used + atom.size
+        self._rows = _grown(self._rows, start, stop)
+        block = self._rows[start:stop]
+        inner = np.arange(CELL_POINTS - 1) < lengths[:, None]
+        block[~inner] = 0.0
         if idx.size:
-            # Each column's points are one run of ``idx``, in column order.
-            owner = np.repeat(np.arange(len(columns)), [t.size for t in todo])
-            size = np.bincount(owner, weights=lengths, minlength=len(columns)).astype(np.intp)
-            others = np.repeat(np.array([atom.coords for atom in atoms]), size, axis=0)
-            values = self._evaluate(others, idx)
-            stops = np.cumsum(size).tolist()
-            for col, start, stop in zip(columns, [0] + stops, stops):
-                col.values[idx[start:stop]] = values[start:stop]
-        for col, t in zip(columns, todo):
-            col.filled[t] = True
+            others = np.array([self._coords[i] for i in ids])[atom]
+            block[inner] = self._evaluate(np.repeat(others, lengths, axis=0), idx)
+        slots[atom, at] = self._slot[ids[atom], cell] = np.arange(start, stop)
+        self._used = stop
+        return slots
 
     def _kept(self, ends: np.ndarray, total: float, scale: float) -> np.ndarray:
         """The cells that can hold the grid optimum of a weighted payoff sum.
 
         ``ends`` is the sum at the cell endpoints, ``total`` the sum of its
-        weights and ``scale`` the weighted sum of the summed columns'
+        weights and ``scale`` the weighted sum of the summed atoms'
         ``scale``.  Rounding in the sums scales with the payoffs summed, not
         with their total, which may cancel; a bound close to the best value
         has pads of at most twice these payoffs, so they need no slack.
@@ -288,25 +311,36 @@ class GridSearchOracle:
         return np.flatnonzero(bound >= side.max() - BOUND_SLACK * scale)
 
     def respond(self, opponent: FiniteMixedStrategy) -> OracleAnswer:
-        columns = [self._entry(atom) for atom in opponent.atoms]
-        weights = opponent.weights
-        ends = np.zeros(self._ends.size)
-        for col, weight in zip(columns, weights):
-            ends += weight * col.ends
-        kept = self._kept(
-            ends, math.fsum(weights), math.fsum(w * col.scale for col, w in zip(columns, weights))
-        )
-        self._fill(opponent.atoms, columns, kept)
-        idx = _ranges(self._inner_start[kept], self._inner_len[kept])
-        values = np.zeros(idx.size)
-        for col, weight in zip(columns, weights):
-            values += weight * col.values[idx]
-        return self._best(np.concatenate((ends, values)), 1.0, np.concatenate((self._ends, idx)))
+        ids = np.array([self._id(atom) for atom in opponent.atoms])
+        weights = opponent.weights_array()
+        # Weighted payoffs summed atom after atom, in the query's order.
+        ends = _row_sums(weights[:, None] * self._end_values[ids])
+        kept = self._kept(ends, math.fsum(opponent.weights), math.fsum(weights * self._scale[ids]))
+        slots = self._fill(ids, kept)  # before reading _rows, which it may replace
+        table = self._rows[slots]
+        table *= weights[:, None, None]
+        inner = _row_sums(table.reshape(ids.size, -1)).reshape(kept.size, CELL_POINTS - 1)
+        return self._best(ends, inner, kept, 1.0)
 
-    def _best(self, values: np.ndarray, total: float, idx: np.ndarray) -> OracleAnswer:
+    def _best(
+        self, ends: np.ndarray, inner: np.ndarray, cells: np.ndarray, total: float
+    ) -> OracleAnswer:
+        """Best of the sums ``ends`` at the endpoints and the padded rows ``inner`` of ``cells``.
+
+        ``cells`` is ascending.
+        """
+        values = np.concatenate((ends, inner.ravel()))
+        steps = self._inner_start[cells][:, None] + np.arange(CELL_POINTS - 1)
+        idx = np.concatenate((self._ends, steps.ravel()))
+        worst = -np.inf if self.player == 1 else np.inf
+        for c in self._short:  # the padding of a short cell must never be best
+            j = cells.searchsorted(c)
+            if j < cells.size and cells[j] == c:
+                row = ends.size + j * (CELL_POINTS - 1)
+                values[row + self._inner_len[c] : row + CELL_POINTS - 1] = worst
         # Best on the undivided sum: dividing first could round distinct
-        # values into ties.  ``idx`` gives the grid index of each value;
-        # ties go to the smallest.  A NaN among the values makes the best NaN.
+        # values into ties.  Ties go to the smallest grid index.  A NaN
+        # among the values makes the best NaN.
         best = values.max() if self.player == 1 else values.min()
         if not math.isfinite(best):
             raise ModelError(f"utility returned {best} at a searched grid point")
@@ -321,65 +355,56 @@ class GridSearchOracle:
 class RunningGridResponse:
     """Best response to the uniform mixture over a growing list of atoms.
 
-    Answers against ``S / count``, where ``S = sum_j column(atom_j)`` over
+    Answers against ``S / count``, where ``S = sum_j payoffs(atom_j)`` over
     every :meth:`add` in add order (an atom added twice counts twice),
     with the answer and value of a full scan of ``S``, bit for bit.
 
     ``S`` is held at the cell endpoints and on the active cells: those
     that the last :meth:`respond` kept, bounding each cell as
     :meth:`GridSearchOracle.respond` does with ``count`` as the total
-    weight.  :meth:`add` fills a new atom on the active cells only.  A
-    kept cell that was not active is activated: the history's distinct
-    atoms are filled on it where the oracle's column cache lacks them, in
-    one utility call, and its sums are added up anew over the history in
-    add order.  So every held sum is the one a full-grid running sum would
-    hold, and the search over the endpoints and the kept cells sees every
-    point that can be best.
+    weight.  On a cell, ``S`` is one row of ``CELL_POINTS - 1`` sums laid
+    out as the oracle's store rows.  :meth:`add` fills a new atom on the
+    active cells only.  A kept cell that was not active is activated: the
+    history's distinct atoms are filled on it where the oracle's store
+    lacks them, in one utility call, and its sums are added up anew over
+    the history in add order.  So every held sum is the one a full-grid
+    running sum would hold, and the search over the endpoints and the kept
+    cells sees every point that can be best.
     """
 
     def __init__(self, oracle: GridSearchOracle):
         self._oracle = oracle
-        self._atoms: list[StrategyPoint] = []  # distinct atoms, in first-add order
-        self._columns: list[_Column] = []
-        self._slots: dict[tuple[float, ...], int] = {}
-        self._history: list[int] = []  # the slot of each add
+        self._distinct: dict[int, None] = {}  # store ids, in first-add order
+        self._history: list[int] = []  # the store id of each add
         self._ends = np.zeros(oracle._ends.size)
         self._scale = 0.0
         self._active = np.zeros(oracle._left.size, dtype=bool)
-        self._idx = np.zeros(0, dtype=np.intp)  # inner grid points of the active cells
-        self._sums = np.empty(oracle._grid.size)  # S, held at those points only
+        self._cells = np.zeros(0, dtype=np.intp)  # the active cells
+        self._sums = np.empty((oracle._left.size, CELL_POINTS - 1))  # S, held on those only
         self.count = 0
 
     def add(self, atom: StrategyPoint) -> None:
         oracle = self._oracle
-        slot = self._slots.setdefault(atom.coords, len(self._columns))
-        if slot == len(self._columns):
+        i = oracle._id(atom)
+        if i not in self._distinct:
             # Earlier atoms are filled on the active cells already.
-            col = oracle._entry(atom)
-            oracle._fill([atom], [col], np.flatnonzero(self._active))
-            self._atoms.append(atom)
-            self._columns.append(col)
-        col = self._columns[slot]
-        self._history.append(slot)
+            oracle._fill(np.array([i]), self._cells)
+            self._distinct[i] = None
+        self._history.append(i)
         self.count += 1
-        self._ends += col.ends
-        self._scale += col.scale
-        self._sums[self._idx] += col.values[self._idx]
+        self._ends += oracle._end_values[i]
+        self._scale += oracle._scale[i]
+        self._sums[self._cells] += oracle._rows[oracle._slot[i, self._cells]]
 
     def respond(self) -> OracleAnswer:
         oracle = self._oracle
         kept = oracle._kept(self._ends, self.count, self._scale)
         new = kept[~self._active[kept]]
         if new.size:
-            oracle._fill(self._atoms, self._columns, new)
-            idx = _ranges(oracle._inner_start[new], oracle._inner_len[new])
-            table = np.stack([col.values[idx] for col in self._columns])[self._history]
-            self._sums[idx] = _row_sums(table)
+            oracle._fill(np.array(list(self._distinct)), new)
+            table = oracle._rows[oracle._slot[np.array(self._history)[:, None], new]]
+            self._sums[new] = _row_sums(table.reshape(self.count, -1)).reshape(new.size, -1)
         self._active[:] = False
         self._active[kept] = True
-        self._idx = _ranges(oracle._inner_start[kept], oracle._inner_len[kept])
-        return oracle._best(
-            np.concatenate((self._ends, self._sums[self._idx])),
-            self.count,
-            np.concatenate((oracle._ends, self._idx)),
-        )
+        self._cells = kept
+        return oracle._best(self._ends, self._sums[kept], kept, self.count)

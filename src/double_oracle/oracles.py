@@ -4,12 +4,15 @@ An oracle answers: given the opponent's finite mixed strategy, which pure
 strategy of mine is (approximately) optimal against it, and what does it
 earn?  Player 1 oracles maximize the game utility, player 2 oracles minimize
 it.  Every oracle declares an ``accuracy``: the returned value is within that
-amount of the true best response value.  Oracles are pure functions of their
-input and may safely be queried concurrently.
+amount of the true best response value.  An oracle's answer depends only on
+its query, but an oracle may keep state between queries (a payoff cache, an
+evaluation count), so one instance must not be queried from two threads at
+once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -21,7 +24,7 @@ from .core import (
     StrategyPoint,
     require_in_space,
 )
-from .errors import ParameterError
+from .errors import ModelError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,8 @@ def best_over_points(
 
     ``candidates`` has one pure strategy per row.  Ties resolve to the lowest
     index, which for lexicographically sorted candidate arrays means the
-    lexicographically smallest winner.
+    lexicographically smallest winner.  A NaN value, or an infinite best,
+    raises :class:`~.errors.ModelError`.
     """
     atoms = opponent.atoms_array()
     weights = opponent.weights_array()
@@ -64,8 +68,12 @@ def best_over_points(
     else:
         table = game.utility(atoms[None, :, :], candidates[:, None, :])
     values = np.asarray(table, dtype=float) @ weights
+    # argmax and argmin pick the first NaN if there is one.
     idx = int(np.argmax(values)) if player == 1 else int(np.argmin(values))
-    return idx, float(values[idx])
+    value = float(values[idx])
+    if not math.isfinite(value):
+        raise ModelError(f"utility returned {value} at a candidate point")
+    return idx, value
 
 
 class FinitePointOracle:

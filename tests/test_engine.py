@@ -244,7 +244,7 @@ def nan_corner_setup():
     return game, FinitePointOracle(game, 1, pts), FinitePointOracle(game, 2, pts)
 
 
-@pytest.mark.parametrize("solver", ["fictitious_play", "bounds_from_profile"])
+@pytest.mark.parametrize("solver", ["fictitious_play", "bounds_from_profile", "respond"])
 def test_nan_payoff_at_an_answer_is_a_model_error(solver):
     # Against y = 1 the exhaustive oracle picks x = 1, whose payoff is NaN;
     # left unchecked, it makes every bound and subgame value of the run NaN.
@@ -252,8 +252,10 @@ def test_nan_payoff_at_an_answer_is_a_model_error(solver):
     with pytest.raises(ModelError, match="utility returned nan"):
         if solver == "fictitious_play":
             run_fictitious_play(game, o1, o2, point(1.0), point(1.0), iters=5)
-        else:
+        elif solver == "bounds_from_profile":
             bounds_from_profile(game, dirac(point(1.0)), dirac(point(1.0)), o1, o2)
+        else:
+            o1.respond(dirac(point(1.0)))
 
 
 @pytest.mark.parametrize("accuracy", [math.inf, math.nan, -1.0])

@@ -18,7 +18,7 @@ from double_oracle import (
     point,
     run_fictitious_play,
 )
-from double_oracle.one_dim import POLYNOMIAL_LIPSCHITZ, TOWNSEND_LIPSCHITZ
+from double_oracle.one_dim import CELL_POINTS, POLYNOMIAL_LIPSCHITZ, TOWNSEND_LIPSCHITZ
 
 
 def pennies_setup():
@@ -180,14 +180,48 @@ def test_running_sums_are_the_counted_columns(grid_run):
         counts = np.rint(opponent.weights_array() * GRID_ROUNDS)
         assert counts.sum() == responder.count == GRID_ROUNDS
         space = game.space1 if player == 1 else game.space2
-        idx = np.concatenate((responder._oracle._ends, responder._idx))
-        held = np.concatenate((responder._ends, responder._sums[responder._idx]))
+        # Each active cell holds a row of CELL_POINTS - 1 sums, padded past its end.
+        oracle, cells = responder._oracle, responder._cells
+        starts = oracle._inner_start[cells][:, None] + np.arange(CELL_POINTS - 1)
+        inner = starts < (oracle._inner_start + oracle._inner_len)[cells][:, None]
+        idx = np.concatenate((oracle._ends, starts[inner]))
+        held = np.concatenate((responder._ends, responder._sums[cells][inner]))
         pts = np.sort(space.grid_points(1e-4))[idx, None]
         want = sum(
             c * (game.utility(pts, atom.array()) if player == 1 else game.utility(atom.array(), pts))
             for c, atom in zip(counts, opponent.atoms)
         )
         assert np.abs(held - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_payoff_store_holds_one_row_per_filled_pair(grid_run):
+    """The store's rows are the (atom, cell) pairs filled, in a buffer at most twice their number."""
+    _, _, (o1, o2), _, _ = grid_run
+    for oracle in (o1, o2):
+        atoms = len(oracle._ids)
+        slot = oracle._slot[:atoms]
+        filled = slot >= 0
+        assert oracle._used == filled.sum() > 0
+        assert sorted(slot[filled]) == list(range(oracle._used))
+        assert oracle._used <= len(oracle._rows) <= 2 * oracle._used
+        assert len(slot) <= len(oracle._slot) <= 2 * atoms
+        # Each atom was evaluated once at the endpoints and once per filled cell.
+        inner = (filled * oracle._inner_len).sum()
+        assert oracle.evaluations == atoms * oracle._ends.size + inner
+        # Rows are zero past the end of a short cell.
+        rows = oracle._rows[slot[filled]]
+        pad = np.arange(CELL_POINTS - 1) >= oracle._inner_len[np.nonzero(filled)[1]][:, None]
+        assert not rows[pad].any()
+
+
+def test_fresh_grid_oracle_holds_no_payoffs():
+    _, o1, _ = grid_oracles("g2")
+    assert o1._rows.shape == (0, CELL_POINTS - 1)
+    assert o1._slot.shape == (0, o1._left.size)
+    assert o1._end_values.shape == (0, o1._ends.size)
+    assert o1._used == o1.evaluations == 0
+    o1.running()
+    assert o1._rows.shape[0] == o1._slot.shape[0] == 0
 
 
 def test_oracles_without_running_are_asked_every_round(grid_run):

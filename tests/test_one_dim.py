@@ -26,6 +26,7 @@ from double_oracle import (
     run_fictitious_play,
 )
 from double_oracle.one_dim import (
+    CELL_POINTS,
     POLYNOMIAL_LIPSCHITZ,
     TOWNSEND_LIPSCHITZ,
     _row_sums,
@@ -251,8 +252,8 @@ def _atoms(space):
 
 
 @st.composite
-def _mixtures(draw, space):
-    k = draw(st.integers(1, 12))
+def _mixtures(draw, space, max_atoms=12):
+    k = draw(st.integers(1, max_atoms))
     atoms = draw(st.lists(_atoms(space), min_size=k, max_size=k))
     weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k))
     return merge_duplicates(atoms, weights)
@@ -277,10 +278,54 @@ def test_respond_equals_full_grid_scan(name, player, data):
     assert [oracle.respond(q) for q in reversed(queries)] == expected[::-1]
 
 
+def _one_point_game(player):
+    """g1's utility with the responder's interval shrunk to the one point 0.5."""
+    one, unit = Box((0.5,), (0.5,)), Box((-1.0,), (1.0,))
+    spaces = (one, unit) if player == 1 else (unit, one)
+    return GameDefinition(*spaces, polynomial_utility, name="one-point", curvature=(4.0, 4.0))
+
+
+@pytest.mark.parametrize("player", [1, 2])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_respond_sums_atom_after_atom(player, data):
+    """respond()'s point and value are a ``+=`` loop's over the query's atoms, bit for bit."""
+    name = data.draw(st.sampled_from([*GAMES, "one-point"]))
+    # 2 / 0.0154 rounds up to 130 steps on g1: its last cell has one inner point.
+    resolution = data.draw(st.sampled_from([1e-3, 0.0154]))
+    with_lipschitz, with_curvature = data.draw(st.booleans()), data.draw(st.booleans())
+    if name == "one-point":
+        game = _one_point_game(player)
+        lipschitz = POLYNOMIAL_LIPSCHITZ if with_lipschitz else None
+        oracle = GridSearchOracle(game, player, resolution, lipschitz)
+    else:
+        oracle = _oracle(name, player, with_lipschitz, with_curvature, resolution)
+        game = oracle.game
+    opponent_space = game.space2 if player == 1 else game.space1
+    for query in data.draw(st.lists(_mixtures(opponent_space, 40), min_size=1, max_size=3)):
+        total = 0.0
+        for atom, weight in zip(query.atoms, query.weights):
+            grid, column = _full_column(game, player, resolution, atom)
+            total += weight * column
+        i = int(np.argmax(total)) if player == 1 else int(np.argmin(total))
+        answer = oracle.respond(query)
+        assert answer.point == point(float(grid[i]))
+        assert answer.value.hex() == float(total[i]).hex()
+
+
 def _held(responder):
-    """The grid indices at which ``responder`` holds its running sum, and the sums there."""
-    idx = np.concatenate((responder._oracle._ends, responder._idx))
-    return idx, np.concatenate((responder._ends, responder._sums[responder._idx]))
+    """The grid indices at which ``responder`` holds its running sum, and the sums there.
+
+    On an active cell the sum is a row of ``CELL_POINTS - 1`` values; those
+    past the end of a short cell must be zero.
+    """
+    oracle, cells = responder._oracle, responder._cells
+    starts = oracle._inner_start[cells][:, None] + np.arange(CELL_POINTS - 1)
+    inner = starts < (oracle._inner_start + oracle._inner_len)[cells][:, None]
+    rows = responder._sums[cells]
+    assert rows[~inner].tobytes() == np.zeros((~inner).sum()).tobytes()
+    idx = np.concatenate((oracle._ends, starts[inner]))
+    return idx, np.concatenate((responder._ends, rows[inner]))
 
 
 @pytest.mark.parametrize("player", [1, 2])
