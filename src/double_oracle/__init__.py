@@ -15,6 +15,7 @@ from .core import (
     FiniteMixedStrategy,
     GameDefinition,
     IntervalUnion,
+    PointSet,
     Simplex,
     StrategyPoint,
     dirac,
@@ -78,6 +79,7 @@ __all__ = [
     "OracleAnswer",
     "OracleContractError",
     "ParameterError",
+    "PointSet",
     "ResourceLimitError",
     "Simplex",
     "SolveResult",

@@ -8,24 +8,26 @@ Conventions used throughout the package:
   broadcasts over any leading axes, and returns an array of the broadcast
   shape.  Player 1 maximizes ``utility``, player 2 minimizes it.
 * Mixed strategies are finitely supported over distinct atoms; only exact
-  duplicates (equal ``coords``) are folded together.  The solvers suppress
-  near-duplicates themselves: a new strategy within :data:`MERGE_TOL` in
-  max-norm of one they already hold is not added again.
+  duplicates (equal ``coords``) are folded together.
+* A growing finite strategy set is a :class:`PointSet`, which keeps its
+  points more than :data:`MERGE_TOL` apart in max-norm: a new strategy
+  that close to a held one is that one.  The double oracle subgame's two axes and
+  fictitious play's histories are PointSets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InvalidStrategyError, ParameterError
 
-# Max-norm distance within which the solvers (the engine's strategy sets and
-# fictitious play's history) treat a new strategy as one they already hold.
-# Mixtures do not use it: they fold and reject exact duplicates only.
+# Max-norm distance within which a PointSet (a subgame axis, a fictitious
+# play history) treats a new strategy as one it already holds.  Mixtures do
+# not use it: they fold and reject exact duplicates only.
 MERGE_TOL = 1e-9
 # Allowed deviation of total probability mass from 1.
 WEIGHT_SUM_TOL = 1e-9
@@ -58,6 +60,41 @@ class StrategyPoint:
 def point(*coords: float) -> StrategyPoint:
     """Convenience constructor: ``point(0.2)`` or ``point(0.5, 0.25, 0.25)``."""
     return StrategyPoint(tuple(coords))
+
+
+class PointSet:
+    """A growing strategy set: ``points`` in insertion order, more than
+    :data:`MERGE_TOL` apart, and ``coords``, their ``(n, d)`` array."""
+
+    def __init__(self, points: Iterable[StrategyPoint] = ()):
+        self.points: list[StrategyPoint] = []
+        self.coords = np.empty((0, 0))
+        for pt in points:
+            self.add(pt)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def index(self, pt: StrategyPoint) -> int | None:
+        """Index of the first held point within MERGE_TOL of ``pt`` in max-norm, or None.
+
+        A point of another dimension than the held ones raises :class:`DomainError`.
+        """
+        if not self.points:
+            return None
+        if pt.dim != self.coords.shape[1]:
+            raise DomainError(f"point {pt.coords} is not {self.coords.shape[1]}-D like the set")
+        near = np.flatnonzero(np.abs(self.coords - pt.array()).max(axis=1) <= MERGE_TOL)
+        return int(near[0]) if near.size else None
+
+    def add(self, pt: StrategyPoint) -> int:
+        """:meth:`index` of ``pt``, appending ``pt`` first when no held point is that close."""
+        k = self.index(pt)
+        if k is None:
+            k = len(self.points)
+            self.points.append(pt)
+            self.coords = np.vstack([self.coords, pt.array()]) if k else pt.array()[None, :]
+        return k
 
 
 def _axis_grid(lo: float, hi: float, resolution: float) -> np.ndarray:

@@ -8,9 +8,12 @@ once that sandwich closes to ``epsilon``, at which point the last subgame
 equilibrium is an approximate equilibrium of the full game with additive
 error equal to the final gap (plus the oracles' declared accuracy).
 
-The subgame is built once per run and then grows in place: a new strategy
-costs one row or column of payoff evaluations and one LP column or row, and
-the LP is re-solved from its previous basis (see :mod:`.matrix_game`).
+The subgame is built once per run and then grows in place.  Its two axes,
+:class:`~.core.PointSet` s, are the strategy sets: an oracle answer within
+:data:`~.core.MERGE_TOL` of a held strategy is not added again.  A new
+strategy costs one row or column of payoff evaluations and one LP column or
+row, and the LP is re-solved from its previous basis (see
+:mod:`.matrix_game`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    MERGE_TOL,
     FiniteMixedStrategy,
     GameDefinition,
     StrategyPoint,
@@ -91,39 +93,6 @@ class SolveResult:
     @property
     def iterations(self) -> int:
         return len(self.trace)
-
-
-def _merged_point_list(
-    points: Sequence[StrategyPoint], space, label: str
-) -> list[StrategyPoint]:
-    out: list[StrategyPoint] = []
-    for pt in points:
-        require_in_space(space, pt, label)
-        _absorb(out, pt)
-    if not out:
-        raise ParameterError(f"{label} initial strategy set is empty")
-    return out
-
-
-def _absorb(points: list[StrategyPoint], candidate: StrategyPoint) -> int:
-    """Index of the first held point within MERGE_TOL of ``candidate``.
-
-    When no held point is that close, ``candidate`` is appended and its own
-    index returned.
-    """
-    if points:
-        held = np.array([p.coords for p in points])
-        near = np.flatnonzero(np.abs(held - candidate.array()).max(axis=1) <= MERGE_TOL)
-        if near.size:
-            return int(near[0])
-    points.append(candidate)
-    return len(points) - 1
-
-
-def _added(points: list[StrategyPoint], candidate: StrategyPoint) -> StrategyPoint | None:
-    """``candidate`` if :func:`_absorb` appends it to ``points``, else None."""
-    held = len(points)
-    return candidate if _absorb(points, candidate) == held else None
 
 
 def _check_answer(
@@ -220,11 +189,11 @@ def run_double_oracle(
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
 
-    xs = _merged_point_list(initial_x, game.space1, "player 1")
-    ys = _merged_point_list(initial_y, game.space2, "player 2")
+    if not initial_x or not initial_y:
+        raise ParameterError("each player needs a nonempty initial strategy set")
 
     started = time.perf_counter()
-    subgame = subgame_matrix(game, xs, ys)
+    subgame = subgame_matrix(game, initial_x, initial_y)
     trace: list[IterationRecord] = []
     for i in range(1, max_iters + 1):
         p_star, q_star, value = solve_zero_sum(subgame)
@@ -232,15 +201,14 @@ def run_double_oracle(
         ans2 = _check_answer(oracle2.respond(p_star), p_star, game, 2)
         _check_against_subgame(ans1, oracle1, value, 1)
         _check_against_subgame(ans2, oracle2, value, 2)
-        subgame_value = subgame.profile_payoff(p_star, q_star)
         stopped = time.perf_counter()
         record = IterationRecord(
             index=i,
             lower=ans2.value,
             upper=ans1.value,
-            subgame_value=subgame_value,
-            size_x=len(xs),
-            size_y=len(ys),
+            subgame_value=value,
+            size_x=len(subgame.rows),
+            size_y=len(subgame.cols),
             added_x=ans1.point,
             added_y=ans2.point,
             time_s=stopped - started,
@@ -252,7 +220,7 @@ def run_double_oracle(
         if record.gap <= epsilon + STOP_TOL:
             return SolveResult(p_star, q_star, trace, TERMINATED_GAP)
         if i < max_iters:
-            extend_subgame(subgame, game, _added(xs, ans1.point), _added(ys, ans2.point))
+            extend_subgame(subgame, game, ans1.point, ans2.point)
     return SolveResult(p_star, q_star, trace, TERMINATED_CAP)
 
 

@@ -26,12 +26,13 @@ from typing import Callable
 from .core import (
     FiniteMixedStrategy,
     GameDefinition,
+    PointSet,
     StrategyPoint,
     _bilinear_utility,
     require_in_space,
 )
 from .errors import ParameterError
-from .engine import IterationRecord, _absorb, _check_answer
+from .engine import IterationRecord, _check_answer
 from .oracles import BestResponseOracle, OracleAnswer
 
 
@@ -39,26 +40,26 @@ class _Empirical:
     """Uniform history distribution with duplicates folded incrementally."""
 
     def __init__(self, first: StrategyPoint):
-        self.reps: list[StrategyPoint] = [first]
+        self.reps = PointSet([first])
         self.counts: list[int] = [1]
         self.total = 1
         self._mixture: FiniteMixedStrategy | None = None
 
     def add(self, pt: StrategyPoint) -> StrategyPoint:
         """Count ``pt`` toward its representative, which is returned."""
-        k = _absorb(self.reps, pt)
+        k = self.reps.add(pt)
         if k == len(self.counts):
             self.counts.append(0)
         self.counts[k] += 1
         self.total += 1
         self._mixture = None
-        return self.reps[k]
+        return self.reps.points[k]
 
     def mixture(self) -> FiniteMixedStrategy:
         # ``add`` keeps the representatives MERGE_TOL apart, so no re-merge.
         if self._mixture is None:
             self._mixture = FiniteMixedStrategy(
-                tuple(self.reps), tuple(c / self.total for c in self.counts)
+                tuple(self.reps.points), tuple(c / self.total for c in self.counts)
             )
         return self._mixture
 
@@ -81,7 +82,7 @@ def _responder(oracle: BestResponseOracle, opponent: _Empirical):
     """Best responder to ``opponent``, fed each representative it counts."""
     running = getattr(oracle, "running", None)
     responder = running() if running is not None else _Requery(oracle, opponent)
-    responder.add(opponent.reps[0])
+    responder.add(opponent.reps.points[0])
     return responder
 
 

@@ -25,6 +25,7 @@ from ._highs import HighsModelStatus, HighsStatus, _Highs
 from .core import (
     FiniteMixedStrategy,
     GameDefinition,
+    PointSet,
     StrategyPoint,
     require_in_space,
 )
@@ -97,18 +98,17 @@ class _SubgameLP:
 class MatrixGame:
     """Payoff matrix for player 1 plus the pure strategies labeling its axes.
 
-    The labels of each axis are distinct; a repeated one raises
-    :class:`ModelError`.  The game grows in place through :meth:`add_row`
-    and :meth:`add_col`, and its LP model, once :func:`solve_zero_sum` has
-    built it, grows with it.
+    ``rows`` and ``cols`` are :class:`~.core.PointSet` s made from the given
+    labels, so a label within :data:`~.core.MERGE_TOL` of another on its
+    axis raises :class:`ModelError`.  The game grows in place through
+    :meth:`add_row` and :meth:`add_col`, and its LP model, once
+    :func:`solve_zero_sum` has built it, grows with it.
     """
 
     payoff: np.ndarray
-    row_strategies: tuple[StrategyPoint, ...]
-    col_strategies: tuple[StrategyPoint, ...]
+    rows: PointSet
+    cols: PointSet
     _lp: _SubgameLP | None = field(default=None, init=False, repr=False, compare=False)
-    _row_at: dict = field(init=False, repr=False, compare=False)
-    _col_at: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.payoff = np.asarray(self.payoff, dtype=float)
@@ -116,52 +116,32 @@ class MatrixGame:
             raise ModelError(f"payoff must be a nonempty matrix, got shape {self.payoff.shape}")
         if not np.all(np.isfinite(self.payoff)):
             raise ModelError("payoff entries must be finite")
-        self.row_strategies = tuple(self.row_strategies)
-        self.col_strategies = tuple(self.col_strategies)
-        m, k = self.payoff.shape
-        if len(self.row_strategies) != m or len(self.col_strategies) != k:
-            raise ModelError("strategy labels must match the payoff shape")
-        self._row_at = _label_index(self.row_strategies, "row")
-        self._col_at = _label_index(self.col_strategies, "column")
+        given = (len(self.rows), len(self.cols))
+        self.rows, self.cols = PointSet(self.rows), PointSet(self.cols)
+        if given != self.payoff.shape or (len(self.rows), len(self.cols)) != given:
+            raise ModelError("strategy labels must match the payoff shape and lie MERGE_TOL apart")
 
     def add_row(self, strategy: StrategyPoint, payoffs: Sequence[float]) -> None:
         """Append row strategy ``strategy`` earning ``payoffs[j]`` against column ``j``."""
         row = _new_line(payoffs, self.payoff.shape[1])
-        _require_new(self._row_at, strategy, "row")
+        _add_label(self.rows, strategy, "row")
         self.payoff = np.vstack([self.payoff, row])
-        self._row_at[strategy] = len(self.row_strategies)
-        self.row_strategies += (strategy,)
         if self._lp is not None:
             self._lp.add_row_strategy(row)
 
     def add_col(self, strategy: StrategyPoint, payoffs: Sequence[float]) -> None:
         """Append column strategy ``strategy`` paying ``payoffs[i]`` against row ``i``."""
         col = _new_line(payoffs, self.payoff.shape[0])
-        _require_new(self._col_at, strategy, "column")
+        _add_label(self.cols, strategy, "column")
         self.payoff = np.column_stack([self.payoff, col])
-        self._col_at[strategy] = len(self.col_strategies)
-        self.col_strategies += (strategy,)
         if self._lp is not None:
             self._lp.add_col_strategy(col)
 
-    def profile_payoff(self, p: FiniteMixedStrategy, q: FiniteMixedStrategy) -> float:
-        """``p^T A q`` from the held payoffs, for mixtures over this game's strategies."""
-        rows = [self._row_at[a] for a in p.atoms]
-        cols = [self._col_at[b] for b in q.atoms]
-        held = self.payoff[np.ix_(rows, cols)]
-        return float(p.weights_array() @ held @ q.weights_array())
 
-
-def _require_new(index: dict, strategy: StrategyPoint, axis: str) -> None:
-    if strategy in index:
-        raise ModelError(f"{axis} strategy {strategy.coords} is already held")
-
-
-def _label_index(labels: tuple[StrategyPoint, ...], axis: str) -> dict:
-    index = {pt: i for i, pt in enumerate(labels)}
-    if len(index) != len(labels):
-        raise ModelError(f"a {axis} strategy label is repeated")
-    return index
+def _add_label(labels: PointSet, strategy: StrategyPoint, axis: str) -> None:
+    held = len(labels)
+    if labels.add(strategy) != held:
+        raise ModelError(f"{axis} strategy {strategy.coords} is within MERGE_TOL of a held one")
 
 
 def _new_line(payoffs: Sequence[float], size: int) -> np.ndarray:
@@ -210,41 +190,35 @@ def subgame_matrix(
     xs: Sequence[StrategyPoint],
     ys: Sequence[StrategyPoint],
 ) -> MatrixGame:
-    """Payoff matrix ``A[i][j] = u(xs[i], ys[j])`` evaluated by the game itself."""
-    xs = list(xs)
-    ys = list(ys)
-    if not xs or not ys:
-        raise ModelError("subgame needs at least one strategy per player")
+    """Payoff matrix ``A[i][j] = u(x_i, y_j)`` evaluated by the game itself, over
+    ``xs`` and ``ys`` less each point within MERGE_TOL of an earlier one."""
     for pt in xs:
         require_in_space(game.space1, pt, "player 1")
     for pt in ys:
         require_in_space(game.space2, pt, "player 2")
-    xa = np.asarray([p.coords for p in xs], dtype=float)
-    ya = np.asarray([p.coords for p in ys], dtype=float)
-    payoff = np.asarray(game.utility(xa[:, None, :], ya[None, :, :]), dtype=float)
-    return MatrixGame(payoff, tuple(xs), tuple(ys))
+    rows, cols = PointSet(xs), PointSet(ys)
+    if not rows or not cols:
+        raise ModelError("subgame needs at least one strategy per player")
+    payoff = game.utility(rows.coords[:, None, :], cols.coords[None, :, :])
+    return MatrixGame(np.asarray(payoff, dtype=float), rows.points, cols.points)
 
 
 def extend_subgame(
-    mg: MatrixGame,
-    game: GameDefinition,
-    x: StrategyPoint | None = None,
-    y: StrategyPoint | None = None,
+    mg: MatrixGame, game: GameDefinition, x: StrategyPoint, y: StrategyPoint
 ) -> None:
     """Add row strategy ``x`` and column strategy ``y`` to ``mg`` in place.
 
-    Only the new entries are evaluated: ``u(x, .)`` over the held columns,
-    then ``u(., y)`` over every row, ``x`` included, so the corner
-    ``u(x, y)`` lands in the new column.  ``None`` adds nothing.
+    A point its axis already holds, within :data:`~.core.MERGE_TOL`, is not
+    added.  Only the new entries are evaluated: ``u(x, .)`` over the held
+    columns, then ``u(., y)`` over every row, ``x`` included, so the corner
+    ``u(x, y)`` lands in the new column.
     """
-    if x is not None:
-        require_in_space(game.space1, x, "player 1")
-        cols = np.asarray([pt.coords for pt in mg.col_strategies], dtype=float)
-        mg.add_row(x, game.utility(x.array()[None, :], cols))
-    if y is not None:
-        require_in_space(game.space2, y, "player 2")
-        rows = np.asarray([pt.coords for pt in mg.row_strategies], dtype=float)
-        mg.add_col(y, game.utility(rows, y.array()[None, :]))
+    require_in_space(game.space1, x, "player 1")
+    require_in_space(game.space2, y, "player 2")
+    if mg.rows.index(x) is None:
+        mg.add_row(x, game.utility(x.array()[None, :], mg.cols.coords))
+    if mg.cols.index(y) is None:
+        mg.add_col(y, game.utility(mg.rows.coords, y.array()[None, :]))
 
 
 def solve_zero_sum(
@@ -253,15 +227,17 @@ def solve_zero_sum(
     """Equilibrium ``(p*, q*, value)`` of the matrix game.
 
     The first call builds the game's HiGHS model; later calls re-solve it
-    from the previous basis after the game has grown.  The output satisfies
-    the minimax certificate ``max_i (A q*)_i = value = min_j (p*^T A)_j``
-    within :data:`VALUE_TOL`; a violation raises :class:`ModelError`, and so
-    does an LP that HiGHS does not solve to optimality, warm or cold.
+    from the previous basis after the game has grown.  ``value`` is
+    ``p*^T A q*``, summed from the held payoffs over the mixtures' atoms.
+    The LP optimum ``v`` must satisfy the minimax certificate
+    ``max_i (A q*)_i = v = min_j (p*^T A)_j`` within :data:`VALUE_TOL`; a
+    violation raises :class:`ModelError`, and so does an LP that HiGHS does
+    not solve to optimality, warm or cold.
     """
     A = mg.payoff
     if mg._lp is None:
         mg._lp = _SubgameLP(A)
-    p_raw, q_raw, value = mg._lp.solve()
+    p_raw, q_raw, lp_value = mg._lp.solve()
     p_raw = np.clip(p_raw, 0.0, None)
     q_raw = np.clip(q_raw, 0.0, None)
 
@@ -270,18 +246,22 @@ def solve_zero_sum(
 
     best_row = float((A @ q_vec).max())
     best_col = float((p_vec @ A).min())
-    if abs(best_row - value) > VALUE_TOL or abs(best_col - value) > VALUE_TOL:
+    if abs(best_row - lp_value) > VALUE_TOL or abs(best_col - lp_value) > VALUE_TOL:
         raise ModelError(
             f"equilibrium certificate violated: max row {best_row}, "
-            f"min col {best_col}, value {value}"
+            f"min col {best_col}, value {lp_value}"
         )
 
-    return _mixture(mg.row_strategies, p_vec), _mixture(mg.col_strategies, q_vec), value
+    rows, p = _mixture(mg.rows, p_vec)
+    cols, q = _mixture(mg.cols, q_vec)
+    value = float(p.weights_array() @ A[np.ix_(rows, cols)] @ q.weights_array())
+    return p, q, value
 
 
-def _mixture(labels: tuple[StrategyPoint, ...], weights: np.ndarray) -> FiniteMixedStrategy:
-    """The positive-weight labels, in order, renormalized as merge_duplicates does."""
+def _mixture(labels: PointSet, weights: np.ndarray) -> tuple[np.ndarray, FiniteMixedStrategy]:
+    """Positive-weight indices, and their labels' mixture renormalized as merge_duplicates does."""
     keep = np.flatnonzero(weights > 0.0)
     kept = weights[keep].tolist()
     total = math.fsum(kept)
-    return FiniteMixedStrategy(tuple(labels[i] for i in keep), tuple(w / total for w in kept))
+    atoms = tuple(labels.points[i] for i in keep)
+    return keep, FiniteMixedStrategy(atoms, tuple(w / total for w in kept))

@@ -137,7 +137,9 @@ class GridSearchOracle:
     """Best response by search over a uniform grid, skipping cells that cannot win.
 
     The grid covers the responding player's interval(s) with spacing at most
-    ``resolution``, endpoints included.  The answer is the grid point of
+    ``resolution``, endpoints included; a space that is not a 1-D
+    :class:`~.core.Box` or an :class:`~.core.IntervalUnion` raises
+    :class:`~.errors.ParameterError`.  The answer is the grid point of
     best value, ties resolved to the smallest coordinate.  When a Lipschitz
     bound ``L`` for the utility in the responder's coordinate is supplied,
     the declared accuracy is ``L * resolution / 2``; without one the answer
@@ -200,6 +202,8 @@ class GridSearchOracle:
         self.resolution = float(resolution)
         self.lipschitz = lipschitz
         space = game.space1 if player == 1 else game.space2
+        if not isinstance(space, (Box, IntervalUnion)):
+            raise ParameterError(f"grid search needs an interval strategy space, got {space}")
         self._grid = np.sort(space.grid_points(resolution))
         self._grid_pts = self._grid[:, None]
         self.evaluations = 0

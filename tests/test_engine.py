@@ -18,6 +18,7 @@ from double_oracle import (
     OracleAnswer,
     OracleContractError,
     ParameterError,
+    PointSet,
     bounds_from_profile,
     dirac,
     duplicate_first_axis,
@@ -31,7 +32,6 @@ from double_oracle import (
     run_fictitious_play,
 )
 from double_oracle.blotto import game_definition
-from double_oracle.engine import _absorb
 from double_oracle.one_dim import POLYNOMIAL_LIPSCHITZ, TOWNSEND_LIPSCHITZ
 
 RPS = [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]
@@ -276,12 +276,20 @@ def test_oracle_without_a_finite_accuracy_is_rejected(player, accuracy):
 
 
 def test_absorb_returns_the_first_match_in_insertion_order():
-    held = [point(0.5), point(0.2), point(0.2 + 5e-10)]
-    assert _absorb(held, point(0.2 + 2e-10)) == 1  # within 1e-9 of both 1 and 2
-    assert _absorb(held, point(0.5)) == 0
+    held = PointSet([point(0.5), point(0.2), point(0.2 + 5e-10), point(0.2 + 1.5e-9)])
+    assert held.points == [point(0.5), point(0.2), point(0.2 + 1.5e-9)]  # 0.2 + 5e-10 merged
+    assert held.index(point(0.2 + 7.5e-10)) == 1  # within 1e-9 of both 1 and 2
+    assert held.add(point(0.2 + 7.5e-10)) == 1
+    assert held.add(point(0.5)) == 0
+    assert held.add(point(0.2 + 1.5e-9)) == 2
     assert len(held) == 3
-    assert _absorb(held, point(0.9)) == 3
-    assert held[3] == point(0.9)
+    assert held.index(point(0.9)) is None
+    assert held.add(point(0.9)) == 3
+    assert held.points[3] == point(0.9)
+    np.testing.assert_array_equal(held.coords, [[0.5], [0.2], [0.2 + 1.5e-9], [0.9]])
+    with pytest.raises(DomainError):  # not broadcast against the 1-D coordinates
+        held.add(point(0.2, 0.2))
+    assert len(held) == 4
 
 
 def test_streaming_callback_sees_every_record():
@@ -406,7 +414,7 @@ def test_subgame_model_grows_only_by_new_points(monkeypatch):
     assert repeats > 0  # some oracle answered with a point already held
     mg = solves[-1][0]
     last = res.trace[-1]
-    assert (len(mg.row_strategies), len(mg.col_strategies)) == (last.size_x, last.size_y)
+    assert (len(mg.rows), len(mg.cols)) == (last.size_x, last.size_y)
     assert mg.payoff.shape == (last.size_x, last.size_y)
     # HiGHS holds v plus one column per row strategy, and sum(p) = 1 plus
     # one row per column strategy.

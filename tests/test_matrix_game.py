@@ -19,7 +19,7 @@ from double_oracle import (
     subgame_matrix,
 )
 from double_oracle.blotto import game_definition
-from double_oracle.matrix_game import VALUE_TOL
+from double_oracle.matrix_game import VALUE_TOL, extend_subgame
 
 RPS = [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]
 PENNIES = [[1.0, -1.0], [-1.0, 1.0]]
@@ -34,9 +34,12 @@ def mixture_weight(mix, coords):
 
 def test_subgame_of_polynomial_benchmark():
     game = make_polynomial_game()
-    mg = subgame_matrix(game, [point(0.0), point(0.2)], [point(-1.0), point(1.0)])
+    # A point within MERGE_TOL of an earlier one of its list is dropped.
+    xs = [point(0.0), point(5e-10), point(0.2)]
+    mg = subgame_matrix(game, xs, [point(-1.0), point(1.0), point(1.0)])
     np.testing.assert_allclose(mg.payoff, [[1.0, -1.0], [-0.48, -0.48]], atol=1e-12)
-    assert mg.row_strategies == (point(0.0), point(0.2))
+    assert mg.rows.points == [point(0.0), point(0.2)]
+    assert mg.cols.points == [point(-1.0), point(1.0)]
 
 
 def test_singleton_subgame():
@@ -142,17 +145,33 @@ def test_matrix_game_validation():
 
 
 def test_repeated_labels_are_rejected():
-    with pytest.raises(ModelError):
-        MatrixGame(np.zeros((2, 1)), (point(0.0), point(0.0)), (point(1.0),))
-    with pytest.raises(ModelError):
-        MatrixGame(np.zeros((1, 2)), (point(0.0),), (point(1.0), point(1.0)))
-    mg = subgame_matrix(*embed_matrix_game(PENNIES))
-    with pytest.raises(ModelError):
-        mg.add_row(point(1.0), [0.0, 0.0])
-    with pytest.raises(ModelError):
-        mg.add_col(point(0.0), [0.0, 0.0])
-    assert mg.payoff.shape == (2, 2)
-    assert len(mg.row_strategies) == len(mg.col_strategies) == 2
+    for near in (0.0, 5e-10):  # an exact repeat, and one within MERGE_TOL
+        with pytest.raises(ModelError):
+            MatrixGame(np.zeros((2, 1)), (point(0.0), point(near)), (point(1.0),))
+        with pytest.raises(ModelError):
+            MatrixGame(np.zeros((1, 2)), (point(0.0),), (point(1.0), point(1.0 + near)))
+        mg = subgame_matrix(*embed_matrix_game(PENNIES))
+        with pytest.raises(ModelError):
+            mg.add_row(point(1.0 - near), [0.0, 0.0])
+        with pytest.raises(ModelError):
+            mg.add_col(point(0.0 + near), [0.0, 0.0])
+        assert mg.payoff.shape == (2, 2)
+        assert len(mg.rows) == len(mg.cols) == 2
+        assert mg.rows.coords.shape == mg.cols.coords.shape == (2, 1)
+
+
+def test_extend_subgame_adds_only_points_its_axes_lack():
+    game = make_polynomial_game()
+    mg = subgame_matrix(game, [point(0.0), point(0.2)], [point(-1.0)])
+    extend_subgame(mg, game, point(0.2 + 5e-10), point(1.0))
+    assert mg.rows.points == [point(0.0), point(0.2)]
+    assert mg.cols.points == [point(-1.0), point(1.0)]
+    np.testing.assert_allclose(mg.payoff, [[1.0, -1.0], [-0.48, -0.48]], atol=1e-12)
+    extend_subgame(mg, game, point(0.5), point(1.0 - 5e-10))
+    assert len(mg.rows) == 3 and len(mg.cols) == 2
+    np.testing.assert_array_equal(
+        mg.payoff, game.utility(mg.rows.coords[:, None, :], mg.cols.coords[None, :, :])
+    )
 
 
 # ------------------------------------------------- the persistent HiGHS LP
@@ -255,9 +274,14 @@ def test_growing_subgame_matches_a_fresh_lp(m, k, seed, kind, data):
         p, q, value = solve_zero_sum(mg)
         assert np.array_equal(mg.payoff, full[:rows, :cols])
         assert abs(value - fresh_lp_value(full[:rows, :cols])) <= VALUE_TOL
+        # The value is p^T A q over the mixtures' atoms, bit for bit.
+        held = full[np.ix_(
+            [int(a.coords[0]) for a in p.atoms], [int(b.coords[0]) for b in q.atoms]
+        )]
+        assert value == float(p.weights_array() @ held @ q.weights_array())
         p_vec, q_vec = lp_weights(mg)
-        assert_merged(p, mg.row_strategies, p_vec)
-        assert_merged(q, mg.col_strategies, q_vec)
+        assert_merged(p, mg.rows.points, p_vec)
+        assert_merged(q, mg.cols.points, q_vec)
 
 
 class FlakyHighs:

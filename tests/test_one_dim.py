@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from double_oracle import (
+    BlottoGame,
     Box,
     FiniteMixedStrategy,
     GameDefinition,
@@ -25,6 +26,7 @@ from double_oracle import (
     run_double_oracle,
     run_fictitious_play,
 )
+from double_oracle.blotto import game_definition
 from double_oracle.one_dim import (
     CELL_POINTS,
     POLYNOMIAL_LIPSCHITZ,
@@ -186,6 +188,10 @@ def test_oracle_parameter_validation():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ParameterError):
             GridSearchOracle(game, 1, lipschitz=bad)
+    blotto = game_definition(BlottoGame(3, (1.0, 1.0, 1.0), 0.25))
+    for player in (1, 2):
+        with pytest.raises(ParameterError, match="Simplex"):
+            GridSearchOracle(blotto, player)
 
 
 @pytest.mark.parametrize("bad", [(-1.0, 4.0), (4.0, math.nan), (math.inf, 4.0), (4.0,)])
