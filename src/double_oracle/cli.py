@@ -159,9 +159,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ParameterError(
             f"algorithm: unknown algorithm {cfg.algorithm!r}; choices are {', '.join(ALGORITHMS)}"
         )
-    # Written as not (x >= 0) so that NaN fails the checks too.
-    if not (cfg.epsilon >= 0):
-        raise ParameterError(f"epsilon: must be >= 0, got {cfg.epsilon}")
+    if not (math.isfinite(cfg.epsilon) and cfg.epsilon >= 0):
+        raise ParameterError(f"epsilon: must be finite and >= 0, got {cfg.epsilon}")
     if cfg.max_iters < 1:
         raise ParameterError(f"max_iters: must be >= 1, got {cfg.max_iters}")
     if cfg.seed < 0:
@@ -322,7 +321,7 @@ def output_paths(cfg: ExperimentConfig) -> tuple[str, str]:
     )
 
 
-def _solve(
+def solve(
     cfg: ExperimentConfig,
     problem: Problem,
     on_iteration: Callable[[IterationRecord], None] | None = None,
@@ -362,7 +361,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             writer.writerow(_trace_row(rec))
             fh.flush()
 
-        p_star, q_star, trace, terminated = _solve(cfg, problem, emit)
+        p_star, q_star, trace, terminated = solve(cfg, problem, emit)
 
     last = trace[-1]
     payload = {
@@ -395,8 +394,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
 def compare_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> int:
     """Run double oracle, then fictitious play, on ``cfg`` and write the combined CSV."""
-    trace_do = _solve(replace(cfg, algorithm="double-oracle"), build_problem(cfg))[2]
-    trace_fp = _solve(replace(cfg, algorithm="fictitious-play"), build_problem(cfg))[2]
+    trace_do = solve(replace(cfg, algorithm="double-oracle"), build_problem(cfg))[2]
+    trace_fp = solve(replace(cfg, algorithm="fictitious-play"), build_problem(cfg))[2]
 
     os.makedirs(cfg.outdir, exist_ok=True)
     out_path = out_path or os.path.join(cfg.outdir, f"compare_{cfg.game}.csv")

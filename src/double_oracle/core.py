@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidStrategyError, ParameterError
+from .errors import DomainError, InvalidStrategyError, ParameterError, ResourceLimitError
 
 # Max-norm distance within which a PointSet (a subgame axis, a fictitious
 # play history) treats a new strategy as one it already holds.  Mixtures do
@@ -33,6 +33,8 @@ MERGE_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-9
 # Slack used by the membership tests of strategy spaces.
 MEMBERSHIP_TOL = 1e-9
+# Most points one interval's grid may hold (g2 at resolution 1e-5 holds 475 001).
+GRID_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,9 @@ def _axis_grid(lo: float, hi: float, resolution: float) -> np.ndarray:
 
     The step count is rounded down when ``(hi - lo) / resolution`` is an
     integer up to float noise, so round resolutions yield round grids.  A
-    degenerate interval (``lo == hi``) gives its one point once.
+    degenerate interval (``lo == hi``) gives its one point once.  A grid of
+    more than :data:`GRID_LIMIT` points raises :class:`ResourceLimitError`
+    before anything is allocated.
     """
     if not (resolution > 0):  # NaN fails too
         raise ParameterError(f"grid resolution must be positive, got {resolution!r}")
@@ -110,6 +114,11 @@ def _axis_grid(lo: float, hi: float, resolution: float) -> np.ndarray:
         return np.array([lo])
     span = hi - lo
     raw = span / resolution
+    if raw + 1 > GRID_LIMIT:
+        raise ResourceLimitError(
+            f"grid over [{lo}, {hi}] at resolution {resolution} would hold about "
+            f"{raw:.3g} points, over the {GRID_LIMIT} limit"
+        )
     steps = int(round(raw)) if abs(raw - round(raw)) <= 1e-6 * max(1.0, raw) else int(math.ceil(raw))
     return np.linspace(lo, hi, max(steps, 1) + 1)
 

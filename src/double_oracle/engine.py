@@ -180,12 +180,13 @@ def run_double_oracle(
     value is not what its point earns, or whose value falls short of the
     subgame value by more than the oracle's accuracy plus :data:`VALUE_TOL`,
     raises :class:`OracleContractError`; one whose point earns a non-finite
-    payoff raises :class:`ModelError`.  An oracle whose declared accuracy
-    is not finite and >= 0 raises :class:`ParameterError` before any query.
+    payoff raises :class:`ModelError`.  An ``epsilon`` or an oracle's
+    declared accuracy that is not finite and >= 0 raises
+    :class:`ParameterError` before any query.
     """
     _require_accuracies(oracle1, oracle2)
-    if not (epsilon >= 0):  # NaN fails too
-        raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ParameterError(f"epsilon must be finite and >= 0, got {epsilon}")
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
 

@@ -171,14 +171,22 @@ def test_error_messages_name_the_field(tmp_path, capsys):
     assert run_cli("run", "--game", "matrix", "--outdir", str(tmp_path)) == 1
     assert "matrix:" in capsys.readouterr().err
 
-    # NaN passes a plain `x < 0` check, an infinite resolution leaves a
-    # two-point grid, and a negative seed reaches numpy
+    # NaN passes a plain `x < 0` check, an infinite epsilon ends on "gap" at
+    # once, an infinite resolution leaves a two-point grid, and a negative
+    # seed reaches numpy
     for flag, bad, field in [("--epsilon", "nan", "epsilon"),
+                             ("--epsilon", "inf", "epsilon"),
                              ("--resolution", "nan", "resolution"),
                              ("--resolution", "inf", "resolution"),
                              ("--seed", "-1", "seed")]:
         assert run_cli("run", "--game", "g1", flag, bad, "--outdir", str(tmp_path)) == 1
         assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+
+def test_grid_too_fine_to_build_is_an_error(tmp_path, capsys):
+    assert run_cli("run", "--game", "g1", "--resolution", "1e-300",
+                   "--outdir", str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error: grid over")
 
 
 def test_non_lattice_margin_rejected_for_grid_modes(tmp_path, capsys):

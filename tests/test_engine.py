@@ -154,7 +154,8 @@ def test_duplicate_initial_points_are_merged():
 
 def test_parameter_validation():
     game, o1, o2 = polynomial_setup(1e-2)
-    for bad in (-1.0, math.nan):
+    # an infinite epsilon would end on "gap" after one iteration, certifying nothing
+    for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ParameterError):
             run_double_oracle(game, o1, o2, [point(0.0)], [point(0.0)], epsilon=bad)
     with pytest.raises(ParameterError):

@@ -15,6 +15,7 @@ from double_oracle import (
     ModelError,
     OracleAnswer,
     ParameterError,
+    ResourceLimitError,
     Simplex,
     dirac,
     duplicate_first_axis,
@@ -188,6 +189,9 @@ def test_oracle_parameter_validation():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ParameterError):
             GridSearchOracle(game, 1, lipschitz=bad)
+    # counted before anything is allocated: numpy cannot build this grid
+    with pytest.raises(ResourceLimitError, match="limit"):
+        GridSearchOracle(game, 1, resolution=1e-300)
     blotto = game_definition(BlottoGame(3, (1.0, 1.0, 1.0), 0.25))
     for player in (1, 2):
         with pytest.raises(ParameterError, match="Simplex"):
