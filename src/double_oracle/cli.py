@@ -19,9 +19,10 @@ config-file key. Settings are resolved in order: built-in defaults, then the
 ``DOUBLE_ORACLE_OUTDIR`` environment variable (output directory only), then
 a flat ``key=value`` config file (``--config``), then command-line flags.
 Exit status of ``run`` is 0 when the run terminated by closing the bound
-gap, 2 when it hit the iteration cap, and 1 on any error; ``compare`` exits
-0 or 1. A partially written trace is flushed row by row, so it survives
-mid-run failures.
+gap, 2 when it hit the iteration cap or stalled (a double-oracle iteration
+added no strategy, so no later one could close the gap), and 1 on any error;
+``compare`` exits 0 or 1. A partially written trace is flushed row by row,
+so it survives mid-run failures.
 """
 
 from __future__ import annotations

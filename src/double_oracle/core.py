@@ -92,10 +92,13 @@ class PointSet:
     def add(self, pt: StrategyPoint) -> int:
         """:meth:`index` of ``pt``, appending ``pt`` first when no held point is that close."""
         k = self.index(pt)
-        if k is None:
-            k = len(self.points)
-            self.points.append(pt)
-            self.coords = np.vstack([self.coords, pt.array()]) if k else pt.array()[None, :]
+        return self._append(pt) if k is None else k
+
+    def _append(self, pt: StrategyPoint) -> int:
+        """Append ``pt`` without a lookup; the caller has found :meth:`index` None."""
+        k = len(self.points)
+        self.points.append(pt)
+        self.coords = np.vstack([self.coords, pt.array()]) if k else pt.array()[None, :]
         return k
 
 

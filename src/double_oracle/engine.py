@@ -2,11 +2,14 @@
 
 Starting from finite strategy sets, repeat: solve the finite subgame exactly
 by LP, ask each player's oracle for a best response to the opponent's
-subgame equilibrium, and add the answers to the sets.  The oracle values
+subgame equilibrium, and add the answers to the sets, together with any
+``extra`` strategies the oracles return.  The oracle values of the answers
 sandwich the game value from below and above every iteration; the loop stops
 once that sandwich closes to ``epsilon``, at which point the last subgame
 equilibrium is an approximate equilibrium of the full game with additive
-error equal to the final gap (plus the oracles' declared accuracy).
+error equal to the final gap (plus the oracles' declared accuracy).  It
+also stops, as "stalled", when an iteration adds no strategy: the subgame
+and so every later iteration would then be the same.
 
 The subgame is built once per run and then grows in place.  Its two axes,
 :class:`~.core.PointSet` s, are the strategy sets: an oracle answer within
@@ -43,6 +46,7 @@ STOP_TOL = 1e-9
 
 TERMINATED_GAP = "gap"
 TERMINATED_CAP = "iteration_cap"
+TERMINATED_STALL = "stalled"
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ class SolveResult:
     p_star: FiniteMixedStrategy
     q_star: FiniteMixedStrategy
     trace: list[IterationRecord]
-    terminated_by: str  # "gap" or "iteration_cap"
+    terminated_by: str  # "gap", "iteration_cap" or "stalled"
 
     @property
     def gap(self) -> float:
@@ -174,7 +178,11 @@ def run_double_oracle(
 
     Returns the last subgame equilibrium together with the full iteration
     trace.  Reaching ``max_iters`` is a normal outcome reported as
-    ``terminated_by == "iteration_cap"``, not an error.  ``on_iteration`` is
+    ``terminated_by == "iteration_cap"``, not an error.  An iteration whose
+    answers and extras the strategy sets all hold already ends the run with
+    ``terminated_by == "stalled"`` and that iteration's record last; the gap
+    left is then the subgame solver's error, not a missing strategy, and
+    the run does not count as closed.  ``on_iteration`` is
     invoked with each record as it is produced, which lets callers stream
     partial traces.  An oracle answer outside its player's space, whose
     value is not what its point earns, or whose value falls short of the
@@ -220,8 +228,11 @@ def run_double_oracle(
             on_iteration(record)
         if record.gap <= epsilon + STOP_TOL:
             return SolveResult(p_star, q_star, trace, TERMINATED_GAP)
-        if i < max_iters:
-            extend_subgame(subgame, game, ans1.point, ans2.point)
+        if i == max_iters:
+            break
+        xs, ys = [ans1.point, *ans1.extra], [ans2.point, *ans2.extra]
+        if not extend_subgame(subgame, game, xs, ys):
+            return SolveResult(p_star, q_star, trace, TERMINATED_STALL)
     return SolveResult(p_star, q_star, trace, TERMINATED_CAP)
 
 

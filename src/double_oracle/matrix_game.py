@@ -98,9 +98,10 @@ class _SubgameLP:
 class MatrixGame:
     """Payoff matrix for player 1 plus the pure strategies labeling its axes.
 
-    ``rows`` and ``cols`` are :class:`~.core.PointSet` s made from the given
-    labels, so a label within :data:`~.core.MERGE_TOL` of another on its
-    axis raises :class:`ModelError`.  The game grows in place through
+    ``rows`` and ``cols`` are :class:`~.core.PointSet` s: given ones are
+    kept as they are, and other labels are made into PointSets, so a label
+    within :data:`~.core.MERGE_TOL` of another on its axis raises
+    :class:`ModelError`.  The game grows in place through
     :meth:`add_row` and :meth:`add_col`, and its LP model, once
     :func:`solve_zero_sum` has built it, grows with it.
     """
@@ -117,30 +118,43 @@ class MatrixGame:
         if not np.all(np.isfinite(self.payoff)):
             raise ModelError("payoff entries must be finite")
         given = (len(self.rows), len(self.cols))
-        self.rows, self.cols = PointSet(self.rows), PointSet(self.cols)
+        self.rows, self.cols = _point_set(self.rows), _point_set(self.cols)
         if given != self.payoff.shape or (len(self.rows), len(self.cols)) != given:
             raise ModelError("strategy labels must match the payoff shape and lie MERGE_TOL apart")
 
     def add_row(self, strategy: StrategyPoint, payoffs: Sequence[float]) -> None:
         """Append row strategy ``strategy`` earning ``payoffs[j]`` against column ``j``."""
+        _require_new(self.rows, strategy, "row")
+        self._append_row(strategy, payoffs)
+
+    def add_col(self, strategy: StrategyPoint, payoffs: Sequence[float]) -> None:
+        """Append column strategy ``strategy`` paying ``payoffs[i]`` against row ``i``."""
+        _require_new(self.cols, strategy, "column")
+        self._append_col(strategy, payoffs)
+
+    def _append_row(self, strategy: StrategyPoint, payoffs: Sequence[float]) -> None:
+        """:meth:`add_row` for a ``strategy`` that ``rows.index`` has already found new."""
         row = _new_line(payoffs, self.payoff.shape[1])
-        _add_label(self.rows, strategy, "row")
+        self.rows._append(strategy)
         self.payoff = np.vstack([self.payoff, row])
         if self._lp is not None:
             self._lp.add_row_strategy(row)
 
-    def add_col(self, strategy: StrategyPoint, payoffs: Sequence[float]) -> None:
-        """Append column strategy ``strategy`` paying ``payoffs[i]`` against row ``i``."""
+    def _append_col(self, strategy: StrategyPoint, payoffs: Sequence[float]) -> None:
+        """:meth:`add_col` for a ``strategy`` that ``cols.index`` has already found new."""
         col = _new_line(payoffs, self.payoff.shape[0])
-        _add_label(self.cols, strategy, "column")
+        self.cols._append(strategy)
         self.payoff = np.column_stack([self.payoff, col])
         if self._lp is not None:
             self._lp.add_col_strategy(col)
 
 
-def _add_label(labels: PointSet, strategy: StrategyPoint, axis: str) -> None:
-    held = len(labels)
-    if labels.add(strategy) != held:
+def _point_set(labels: PointSet | Sequence[StrategyPoint]) -> PointSet:
+    return labels if isinstance(labels, PointSet) else PointSet(labels)
+
+
+def _require_new(labels: PointSet, strategy: StrategyPoint, axis: str) -> None:
+    if labels.index(strategy) is not None:
         raise ModelError(f"{axis} strategy {strategy.coords} is within MERGE_TOL of a held one")
 
 
@@ -200,25 +214,38 @@ def subgame_matrix(
     if not rows or not cols:
         raise ModelError("subgame needs at least one strategy per player")
     payoff = game.utility(rows.coords[:, None, :], cols.coords[None, :, :])
-    return MatrixGame(np.asarray(payoff, dtype=float), rows.points, cols.points)
+    return MatrixGame(np.asarray(payoff, dtype=float), rows, cols)
 
 
 def extend_subgame(
-    mg: MatrixGame, game: GameDefinition, x: StrategyPoint, y: StrategyPoint
-) -> None:
-    """Add row strategy ``x`` and column strategy ``y`` to ``mg`` in place.
+    mg: MatrixGame,
+    game: GameDefinition,
+    xs: Sequence[StrategyPoint],
+    ys: Sequence[StrategyPoint],
+) -> int:
+    """Add row strategies ``xs`` and column strategies ``ys`` to ``mg`` in place.
 
-    A point its axis already holds, within :data:`~.core.MERGE_TOL`, is not
-    added.  Only the new entries are evaluated: ``u(x, .)`` over the held
-    columns, then ``u(., y)`` over every row, ``x`` included, so the corner
-    ``u(x, y)`` lands in the new column.
+    Returns how many strategies were added.  A point its axis already holds,
+    within :data:`~.core.MERGE_TOL`, is not added; an earlier point of the
+    same sequence counts as held.  Each point is looked up once.  Only the
+    new entries are evaluated: ``u(x, .)`` over the held columns for each
+    new ``x``, then ``u(., y)`` over every row for each new ``y``, so the
+    corners ``u(x, y)`` land in the new columns.
     """
-    require_in_space(game.space1, x, "player 1")
-    require_in_space(game.space2, y, "player 2")
-    if mg.rows.index(x) is None:
-        mg.add_row(x, game.utility(x.array()[None, :], mg.cols.coords))
-    if mg.cols.index(y) is None:
-        mg.add_col(y, game.utility(mg.rows.coords, y.array()[None, :]))
+    for x in xs:
+        require_in_space(game.space1, x, "player 1")
+    for y in ys:
+        require_in_space(game.space2, y, "player 2")
+    added = 0
+    for x in xs:
+        if mg.rows.index(x) is None:
+            mg._append_row(x, game.utility(x.array()[None, :], mg.cols.coords))
+            added += 1
+    for y in ys:
+        if mg.cols.index(y) is None:
+            mg._append_col(y, game.utility(mg.rows.coords, y.array()[None, :]))
+            added += 1
+    return added
 
 
 def solve_zero_sum(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -26,6 +27,23 @@ CELL_POINTS = 64
 # its bound misses the best endpoint value by more than this times the
 # payoff magnitudes, so rounding in the sums never drops the optimum.
 BOUND_SLACK = 1e-12
+# Most grid points GridSearchOracle.respond returns besides its answer.
+EXTRA_RESPONSES = 2
+
+# Sorted, read-only grids by (repr of the space, resolution), shared by the
+# oracles that hold them; the repr tells -0.0 from 0.0, which == does not.
+_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shared_grid(space: Box | IntervalUnion, resolution: float) -> np.ndarray:
+    """The sorted grid of ``space`` at ``resolution``, built once while some oracle holds it."""
+    key = (repr(space), resolution)
+    grid = _GRIDS.get(key)
+    if grid is None:
+        grid = np.sort(space.grid_points(resolution))
+        grid.flags.writeable = False
+        _GRIDS[key] = grid
+    return grid
 
 
 def polynomial_utility(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -140,7 +158,8 @@ class GridSearchOracle:
     ``resolution``, endpoints included; a space that is not a 1-D
     :class:`~.core.Box` or an :class:`~.core.IntervalUnion` raises
     :class:`~.errors.ParameterError`.  The answer is the grid point of
-    best value, ties resolved to the smallest coordinate.  When a Lipschitz
+    best value, ties resolved to the smallest coordinate.  Oracles over equal
+    spaces at equal resolutions share one read-only grid.  When a Lipschitz
     bound ``L`` for the utility in the responder's coordinate is supplied,
     the declared accuracy is ``L * resolution / 2``; without one the answer
     is only guaranteed optimal over the grid itself and the accuracy is
@@ -163,6 +182,13 @@ class GridSearchOracle:
     declared every bound is infinite, so every cell is kept and each
     atom is filled on every cell.  A NaN payoff at a searched point, or
     an infinite best value, raises :class:`~.errors.ModelError`.
+
+    The answer's ``extra`` holds up to :data:`EXTRA_RESPONSES` cell
+    endpoints other than its point: the peaks of the endpoint sums along
+    each interval, that is their local maxima for the maximizer and local
+    minima for the minimizer, best first, ties to the smaller coordinate.
+    A run of equal sums is one peak, at its first endpoint, and a peak with
+    a non-finite sum is left out.  They cost no utility evaluations.
 
     Payoffs are cached per distinct opponent atom in one packed store,
     filled lazily: an atom's payoffs at the cell endpoints when it first
@@ -204,7 +230,7 @@ class GridSearchOracle:
         space = game.space1 if player == 1 else game.space2
         if not isinstance(space, (Box, IntervalUnion)):
             raise ParameterError(f"grid search needs an interval strategy space, got {space}")
-        self._grid = np.sort(space.grid_points(resolution))
+        self._grid = _shared_grid(space, self.resolution)
         self._grid_pts = self._grid[:, None]
         self.evaluations = 0
         self.accuracy = 0.0 if lipschitz is None else lipschitz * resolution / 2.0
@@ -224,6 +250,9 @@ class GridSearchOracle:
             ends += piece
         self._ends = np.asarray(ends, dtype=np.intp)
         self._left = np.asarray(left, dtype=np.intp)
+        # The endpoints that begin an interval: those that end no cell.
+        self._piece_first = np.ones(self._ends.size, dtype=bool)
+        self._piece_first[self._left + 1] = False
         lo, hi = self._ends[self._left], self._ends[self._left + 1]
         self._inner_start = lo + 1
         self._inner_len = hi - lo - 1
@@ -324,12 +353,17 @@ class GridSearchOracle:
         table = self._rows[slots]
         table *= weights[:, None, None]
         inner = _row_sums(table.reshape(ids.size, -1)).reshape(kept.size, CELL_POINTS - 1)
-        return self._best(ends, inner, kept, 1.0)
+        i, value = self._best(ends, inner, kept, 1.0)
+        return OracleAnswer(self._point(i), value, self._extras(ends, i))
+
+    def _point(self, i: int) -> StrategyPoint:
+        return StrategyPoint((float(self._grid[i]),))
 
     def _best(
         self, ends: np.ndarray, inner: np.ndarray, cells: np.ndarray, total: float
-    ) -> OracleAnswer:
-        """Best of the sums ``ends`` at the endpoints and the padded rows ``inner`` of ``cells``.
+    ) -> tuple[int, float]:
+        """Grid index and value of the best of the sums ``ends`` at the endpoints
+        and the padded rows ``inner`` of ``cells``, each sum divided by ``total``.
 
         ``cells`` is ascending.
         """
@@ -348,8 +382,24 @@ class GridSearchOracle:
         best = values.max() if self.player == 1 else values.min()
         if not math.isfinite(best):
             raise ModelError(f"utility returned {best} at a searched grid point")
-        i = int(idx[values == best].min())
-        return OracleAnswer(StrategyPoint((float(self._grid[i]),)), float(best) / total)
+        return int(idx[values == best].min()), float(best) / total
+
+    def _extras(self, ends: np.ndarray, answer: int) -> tuple[StrategyPoint, ...]:
+        """The best peaks of the endpoint sums ``ends`` other than grid index ``answer``."""
+        side = ends if self.player == 1 else -ends
+        # Runs of equal sums within one interval, by their first endpoint.
+        first = np.flatnonzero(self._piece_first | np.append(True, side[1:] != side[:-1]))
+        vals = side[first]
+        opens = self._piece_first[first]  # the run begins its interval
+        closes = np.append(opens[1:], True)  # the run ends its interval
+        above_left = opens | np.append(True, vals[:-1] < vals[1:])
+        above_right = closes | np.append(vals[1:] < vals[:-1], True)
+        peak = above_left & above_right & np.isfinite(vals)
+        idx = self._ends[first[peak]]
+        keep = idx != answer
+        idx, vals = idx[keep], vals[peak][keep]
+        best = np.lexsort((idx, -vals))[:EXTRA_RESPONSES]
+        return tuple(self._point(i) for i in idx[best])
 
     def running(self) -> RunningGridResponse:
         """A fresh best responder to a count-weighted, growing opponent history."""
@@ -411,4 +461,5 @@ class RunningGridResponse:
         self._active[:] = False
         self._active[kept] = True
         self._cells = kept
-        return oracle._best(self._ends, self._sums[kept], kept, self.count)
+        i, value = oracle._best(self._ends, self._sums[kept], kept, self.count)
+        return OracleAnswer(oracle._point(i), value)

@@ -29,10 +29,17 @@ from .errors import ModelError, ParameterError
 
 @dataclass(frozen=True)
 class OracleAnswer:
-    """A best response ``point`` and its payoff ``value`` against the query."""
+    """A best response ``point`` and its payoff ``value`` against the query.
+
+    ``extra`` holds further strategies of the same player, distinct from
+    ``point``, that the oracle found promising on the way.  They come with
+    no value and no guarantee: the double oracle adds them to its strategy
+    sets, and no bound uses them.
+    """
 
     point: StrategyPoint
     value: float
+    extra: tuple[StrategyPoint, ...] = ()
 
 
 @runtime_checkable

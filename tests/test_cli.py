@@ -58,6 +58,18 @@ def test_run_polynomial_game(tmp_path, capsys):
     assert result["config"]["epsilon"] == 1e-3
 
 
+def test_stalled_run_exits_two(tmp_path):
+    # Below the subgame LP's error the gap does not close; the sets stop
+    # growing long before the default budget of 1000 iterations.
+    code = run_cli("run", "--game", "g2", "--epsilon", "1e-8", "--outdir", str(tmp_path))
+    assert code == 2
+    result = read_json(tmp_path / "g2-townsend_double-oracle_result.json")
+    assert result["terminated_by"] == "stalled"
+    assert result["gap"] > 1e-8
+    rows = read_csv(tmp_path / "g2-townsend_double-oracle_trace.csv")
+    assert len(rows) - 1 == result["iterations"] < 100
+
+
 def test_run_result_mixtures_reproduce_value(tmp_path):
     run_cli("run", "--game", "g1", "--seed", "3", "--outdir", str(tmp_path))
     result = read_json(tmp_path / "g1-polynomial_double-oracle_result.json")

@@ -9,6 +9,7 @@ import double_oracle.engine as engine
 from double_oracle import (
     BlottoGame,
     BlottoGridOracle,
+    BlottoMilpOracle,
     Box,
     DomainError,
     FinitePointOracle,
@@ -32,7 +33,7 @@ from double_oracle import (
     run_fictitious_play,
 )
 from double_oracle.blotto import game_definition
-from double_oracle.one_dim import POLYNOMIAL_LIPSCHITZ, TOWNSEND_LIPSCHITZ
+from double_oracle.one_dim import EXTRA_RESPONSES, POLYNOMIAL_LIPSCHITZ, TOWNSEND_LIPSCHITZ
 
 RPS = [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]
 
@@ -68,13 +69,47 @@ def test_polynomial_benchmark_from_origin():
     assert res.iterations <= 50
 
 
-def test_strategy_sets_grow_by_at_most_one():
+def test_strategy_sets_grow_by_at_most_the_answer_and_its_extras():
     game, o1, o2 = polynomial_setup(1e-3)
     res = run_double_oracle(game, o1, o2, [point(0.0)], [point(0.0)], epsilon=1e-3)
+    steps = set()
     for prev, cur in zip(res.trace, res.trace[1:]):
-        assert cur.size_x - prev.size_x in (0, 1)
-        assert cur.size_y - prev.size_y in (0, 1)
+        steps |= {cur.size_x - prev.size_x, cur.size_y - prev.size_y}
+    assert steps <= set(range(EXTRA_RESPONSES + 2))
+    assert max(steps) > 1  # the extras were added
     assert res.trace[0].size_x == 1 and res.trace[0].size_y == 1
+
+
+@pytest.mark.parametrize("make, lipschitz", [
+    (make_polynomial_game, POLYNOMIAL_LIPSCHITZ), (make_townsend_game, TOWNSEND_LIPSCHITZ)
+])
+def test_run_stops_once_an_iteration_adds_nothing(monkeypatch, make, lipschitz):
+    # Below the subgame LP's error the gap cannot close; once the sets stop
+    # growing, every further iteration would repeat the last one.
+    calls = counting_extensions(monkeypatch)
+    game = make()
+    o1 = GridSearchOracle(game, 1, 1e-4, lipschitz)
+    o2 = GridSearchOracle(game, 2, 1e-4, lipschitz)
+    res = run_double_oracle(game, o1, o2, [point(0.0)], [point(0.0)], epsilon=1e-8)
+    assert res.terminated_by == "stalled"
+    assert res.iterations < 50
+    assert res.gap > 1e-8
+    # the last iteration tried to grow the subgame and added nothing
+    assert len(calls) == res.iterations
+
+
+def test_only_the_grid_oracle_returns_extras():
+    game, o1, o2, rows, cols = finite_setup(RPS)
+    assert o1.respond(dirac(cols[0])).extra == o2.respond(dirac(rows[0])).extra == ()
+    bg = BlottoGame(3, (1.0, 1.0, 1.0), 0.25)
+    corner = dirac(point(1.0, 0.0, 0.0))
+    for oracle in (BlottoGridOracle(bg, 1), BlottoMilpOracle(bg, 2)):
+        assert oracle.respond(corner).extra == ()
+    _, g1, _ = polynomial_setup(1e-3)
+    responder = g1.running()
+    responder.add(point(0.3))
+    assert responder.respond().extra == ()
+    assert g1.respond(dirac(point(0.3))).extra
 
 
 def test_bounds_sandwich_every_iteration():

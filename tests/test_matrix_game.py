@@ -11,6 +11,7 @@ from double_oracle import (
     DomainError,
     MatrixGame,
     ModelError,
+    PointSet,
     embed_matrix_game,
     make_polynomial_game,
     merge_duplicates,
@@ -142,6 +143,9 @@ def test_matrix_game_validation():
         MatrixGame(np.zeros((2, 2)), (point(0.0),), (point(0.0), point(1.0)))
     with pytest.raises(ModelError):
         MatrixGame(np.array([[np.nan]]), (point(0.0),), (point(0.0),))
+    # a PointSet given as labels is kept, not rebuilt
+    rows = PointSet([point(0.0)])
+    assert MatrixGame(np.zeros((1, 1)), rows, (point(0.0),)).rows is rows
 
 
 def test_repeated_labels_are_rejected():
@@ -163,15 +167,21 @@ def test_repeated_labels_are_rejected():
 def test_extend_subgame_adds_only_points_its_axes_lack():
     game = make_polynomial_game()
     mg = subgame_matrix(game, [point(0.0), point(0.2)], [point(-1.0)])
-    extend_subgame(mg, game, point(0.2 + 5e-10), point(1.0))
+    assert extend_subgame(mg, game, [point(0.2 + 5e-10)], [point(1.0)]) == 1
     assert mg.rows.points == [point(0.0), point(0.2)]
     assert mg.cols.points == [point(-1.0), point(1.0)]
     np.testing.assert_allclose(mg.payoff, [[1.0, -1.0], [-0.48, -0.48]], atol=1e-12)
-    extend_subgame(mg, game, point(0.5), point(1.0 - 5e-10))
-    assert len(mg.rows) == 3 and len(mg.cols) == 2
+    # a point near an earlier one of the same call counts as held
+    added = extend_subgame(
+        mg, game, [point(0.5), point(0.5 + 5e-10), point(-0.5)], [point(1.0 - 5e-10), point(0.1)]
+    )
+    assert added == 3
+    assert mg.rows.points == [point(0.0), point(0.2), point(0.5), point(-0.5)]
+    assert mg.cols.points == [point(-1.0), point(1.0), point(0.1)]
     np.testing.assert_array_equal(
         mg.payoff, game.utility(mg.rows.coords[:, None, :], mg.cols.coords[None, :, :])
     )
+    assert extend_subgame(mg, game, [point(0.0)], []) == 0
 
 
 # ------------------------------------------------- the persistent HiGHS LP

@@ -27,9 +27,11 @@ from double_oracle import (
     run_double_oracle,
     run_fictitious_play,
 )
+import double_oracle.one_dim as one_dim
 from double_oracle.blotto import game_definition
 from double_oracle.one_dim import (
     CELL_POINTS,
+    EXTRA_RESPONSES,
     POLYNOMIAL_LIPSCHITZ,
     TOWNSEND_LIPSCHITZ,
     _row_sums,
@@ -162,7 +164,7 @@ def test_oracle_answers_do_not_depend_on_earlier_queries(player):
         return GridSearchOracle(game, player, 1e-3, TOWNSEND_LIPSCHITZ)
 
     def bits(ans):
-        return ans.point.coords, ans.value.hex()
+        return ans.point.coords, ans.value.hex(), ans.extra
 
     fresh = [bits(make().respond(q)) for q in queries]
     warm = make()
@@ -215,14 +217,46 @@ def _full_column(game, player, resolution, atom):
     return grid, game.utility(atom.array(), grid[:, None])
 
 
-def _full_scan(game, player, resolution, mix):
-    """The grid argmax as a plain full scan: one column per atom, summed in atom order."""
+def _scan_values(game, player, resolution, mix):
+    """The grid and the query's payoff sums on it: one column per atom, summed in atom order."""
     values = 0.0
     for atom, weight in zip(mix.atoms, mix.weights):
         grid, column = _full_column(game, player, resolution, atom)
         values = values + weight * column
+    return grid, values
+
+
+def _full_scan(game, player, resolution, mix):
+    """The grid argmax as a plain full scan."""
+    grid, values = _scan_values(game, player, resolution, mix)
     idx = int(np.argmax(values)) if player == 1 else int(np.argmin(values))
     return OracleAnswer(point(float(grid[idx])), float(values[idx]))
+
+
+def _bits(answer):
+    return answer.point.coords, answer.value.hex()
+
+
+def _reference_extras(game, player, resolution, mix, answer):
+    """The extras as a loop: peaks of the cell endpoint sums along each interval, best first."""
+    grid, values = _scan_values(game, player, resolution, mix)
+    space = game.space1 if player == 1 else game.space2
+    pieces = space.pieces if isinstance(space, IntervalUnion) else ((space.lower[0], space.upper[0]),)
+    sign = 1.0 if player == 1 else -1.0
+    peaks = []
+    for a, b in pieces:
+        idx = np.flatnonzero((grid >= a) & (grid <= b))
+        runs = []  # (first endpoint, sum) of each run of equal sums
+        for i in list(idx[:-1][::CELL_POINTS]) + [idx[-1]]:
+            v = sign * float(values[i])
+            if not runs or runs[-1][1] != v:
+                runs.append((int(i), v))
+        for k, (i, v) in enumerate(runs):
+            left = k == 0 or runs[k - 1][1] < v
+            right = k == len(runs) - 1 or runs[k + 1][1] < v
+            if left and right and math.isfinite(v) and grid[i] != answer.point.coords[0]:
+                peaks.append((-v, i))
+    return tuple(point(float(grid[i])) for _, i in sorted(peaks)[:EXTRA_RESPONSES])
 
 
 def _constant_game():
@@ -274,18 +308,29 @@ def _mixtures(draw, space, max_atoms=12):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_respond_equals_full_grid_scan(name, player, data):
-    """Pruned answers are the full scan's, bit for bit, before and after running() fills columns."""
+    """Pruned answers are the full scan's, bit for bit, before and after running() fills columns.
+
+    Their extras are the peaks a loop over the scan's endpoint sums finds.
+    """
     oracle = _oracle(name, player, data.draw(st.booleans()), data.draw(st.booleans()), 1e-3)
     game = oracle.game
-    opponent_space = game.space2 if player == 1 else game.space1
+    space, opponent_space = (game.space1, game.space2) if player == 1 else (game.space2, game.space1)
     queries = data.draw(st.lists(_mixtures(opponent_space), min_size=1, max_size=3))
     expected = [_full_scan(game, player, 1e-3, q) for q in queries]
-    assert [oracle.respond(q) for q in queries] == expected
+    extras = [_reference_extras(game, player, 1e-3, q, a) for q, a in zip(queries, expected)]
+    answers = [oracle.respond(q) for q in queries]
+    assert [_bits(a) for a in answers] == [_bits(a) for a in expected]
+    assert [a.extra for a in answers] == extras
+    for answer in answers:
+        assert len(set(answer.extra)) == len(answer.extra) <= EXTRA_RESPONSES
+        assert answer.point not in answer.extra
+        assert all(space.contains(x) and x.coords[0] in oracle._grid for x in answer.extra)
     responder = oracle.running()
     for atom in queries[0].atoms:
         responder.add(atom)
         responder.respond()
-    assert [oracle.respond(q) for q in reversed(queries)] == expected[::-1]
+    again = [oracle.respond(q) for q in reversed(queries)][::-1]
+    assert [(_bits(a), a.extra) for a in again] == [(_bits(a), a.extra) for a in answers]
 
 
 def _one_point_game(player):
@@ -409,7 +454,7 @@ def test_lipschitz_bound_is_exact_at_a_kink():
     oracle = _oracle("tent", 1, True, False, 1e-3)
     for y in np.linspace(0.1275, 0.1925, 521):
         mix = dirac(point(float(y)))
-        assert oracle.respond(mix) == _full_scan(oracle.game, 1, 1e-3, mix)
+        assert _bits(oracle.respond(mix)) == _bits(_full_scan(oracle.game, 1, 1e-3, mix))
 
 
 def test_cells_do_not_span_the_gap_of_an_interval_union():
@@ -424,7 +469,45 @@ def test_cells_do_not_span_the_gap_of_an_interval_union():
         curvature=(0.0, 0.0),
     )
     oracle = GridSearchOracle(game, 1, 1e-3)
-    assert oracle.respond(dirac(point(0.5))) == OracleAnswer(point(1.0), 1.0)
+    answer = oracle.respond(dirac(point(0.5)))
+    assert (answer.point, answer.value) == (point(1.0), 1.0)
+    # each piece has its own peak: the answer's is skipped
+    assert answer.extra == (point(3.0),)
+
+
+def test_a_plateau_of_endpoint_sums_is_one_extra():
+    # Flat at 0.7 from x = 0.7 to the end of [0, 1], and falling from 0.7 at
+    # x = 2 on [2, 3] before it rises to the best value, 1 at x = 3.  The
+    # flat run is one peak, at its first endpoint; it does not run on into
+    # the other interval, whose first endpoint is a peak of its own.
+    def utility(x, y):
+        x = x[..., 0]
+        second = np.where(x <= 2.5, 0.7 - (x - 2.0), 0.2 + 1.6 * (x - 2.5))
+        return np.where(x <= 1.5, np.minimum(x, 0.7), second) + 0.0 * y[..., 0]
+
+    game = GameDefinition(IntervalUnion(((0.0, 1.0), (2.0, 3.0))), Box((0.0,), (1.0,)), utility)
+    answer = GridSearchOracle(game, 1, 1e-3).respond(dirac(point(0.5)))
+    assert (answer.point, answer.value) == (point(3.0), 1.0)
+    assert [x.coords[0] for x in answer.extra] == pytest.approx([11 * CELL_POINTS * 1e-3, 2.0])
+
+
+def test_oracles_over_one_space_share_a_read_only_grid():
+    # g1's players have the same interval; a resolution no other test uses
+    game = make_polynomial_game()
+    a, b = GridSearchOracle(game, 1, 0.0037), GridSearchOracle(game, 2, 0.0037)
+    assert a._grid is b._grid
+    assert not a._grid.flags.writeable
+    assert GridSearchOracle(game, 1, 0.0038)._grid is not a._grid
+    # 0.0 == -0.0, but a grid that ends at -0.0 is another grid
+    signed = [dataclasses.replace(game, space1=Box((-1.0,), (z,))) for z in (0.0, -0.0)]
+    lasts = [GridSearchOracle(g, 1, 0.0037)._grid[-1] for g in signed]
+    assert [math.copysign(1.0, z) for z in lasts] == [1.0, -1.0]
+    key = (repr(game.space1), 0.0037)
+    assert one_dim._GRIDS[key] is a._grid
+    del a
+    assert key in one_dim._GRIDS
+    del b
+    assert key not in one_dim._GRIDS
 
 
 def _nan_game(at):
