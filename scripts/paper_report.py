@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 
 import numpy as np
 
@@ -36,7 +35,14 @@ from double_oracle import (
     milp_best_response,
     simplex_grid,
 )
-from double_oracle.cli import RUN_HEADER, ExperimentConfig, build_problem, solve
+from double_oracle.cli import (
+    RUN_HEADER,
+    ExperimentConfig,
+    build_problem,
+    result_payload,
+    solve,
+    trace_fields,
+)
 
 MILESTONES = (1, 5, 10, 20, 50, 100, 200)
 SPOT_CHECK_TOL = 1e-6
@@ -60,24 +66,15 @@ def experiments(seed: int, heavy: bool) -> dict[str, ExperimentConfig]:
 
 
 def run(name: str, cfg: ExperimentConfig) -> dict:
+    """``run``'s result JSON for ``cfg``, plus the run's name, wall time and trace rows."""
     started = time.perf_counter()
-    trace, ended = solve(cfg, build_problem(cfg))[2:]
+    solved = solve(cfg, build_problem(cfg))
     wall_s = time.perf_counter() - started
     return {
         "run": name,
-        "game": cfg.game,
-        "algorithm": cfg.algorithm,
-        "iterations": len(trace),
-        "ended": ended,
-        "value": trace[-1].subgame_value,
-        "gap": trace[-1].gap,
+        **result_payload(cfg, *solved),
         "wall_s": wall_s,
-        "config": asdict(cfg),
-        "trace": [
-            dict(zip(RUN_HEADER, (r.index, r.lower, r.upper, r.gap, r.subgame_value,
-                                  r.size_x, r.size_y, r.time_s)))
-            for r in trace
-        ],
+        "trace": [dict(zip(RUN_HEADER, trace_fields(r))) for r in solved[2]],
     }
 
 
@@ -122,7 +119,7 @@ def markdown(report: dict) -> str:
     runs = report["runs"]
     lines = ["## Runs", ""] + table(
         ["run", "game", "algorithm", "iterations", "ended", "value", "gap", "wall s"],
-        [[r["run"], r["game"], r["algorithm"], r["iterations"], r["ended"],
+        [[r["run"], r["game"], r["algorithm"], r["iterations"], r["terminated_by"],
           f"{r['value']:.6g}", f"{r['gap']:.3e}", f"{r['wall_s']:.3f}"] for r in runs],
     )
     # A run that has stopped repeats its final gap.

@@ -24,6 +24,7 @@ Best responses against a finite opponent mixture come in two flavors:
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -64,7 +65,7 @@ class BlottoGame:
         if len(a) != n:
             raise ParameterError(f"{len(a)} battlefield values for n = {n}")
         if any(not math.isfinite(v) or v <= 0 for v in a):
-            raise ParameterError(f"battlefield values must be positive, got {a}")
+            raise ParameterError(f"battlefield values must be finite and > 0, got {a}")
         c = float(self.c)
         if not (0.0 < c <= 1.0):
             raise ParameterError(f"contest margin c must be in (0, 1], got {c}")
@@ -102,7 +103,7 @@ def _grid_steps(c: float) -> int:
         raise ParameterError(f"grid spacing c must be positive, got {c}")
     k = 1.0 / c
     if abs(k - round(k)) > 1e-9:
-        raise ParameterError(f"1/c must be an integer for a simplex grid, got c = {c}")
+        raise ParameterError(f"1/c is not integral (c={c}), so there is no allocation lattice")
     return int(round(k))
 
 
@@ -120,21 +121,11 @@ def simplex_grid(n: int, c: float) -> list[StrategyPoint]:
         raise ResourceLimitError(
             f"simplex grid would hold {count} points, over the {ENUMERATION_LIMIT} limit"
         )
-
-    points: list[StrategyPoint] = []
-    parts = [0] * n
-
-    def descend(j: int, remaining: int) -> None:
-        if j == n - 1:
-            parts[j] = remaining
-            points.append(StrategyPoint(tuple(p / k for p in parts)))
-            return
-        for v in range(remaining + 1):
-            parts[j] = v
-            descend(j + 1, remaining - v)
-
-    descend(0, k)
-    return points
+    # Each point is the gaps between n - 1 sorted cuts of {0, ..., k}.
+    return [
+        StrategyPoint(tuple((b - a) / k for a, b in zip((0, *cuts), (*cuts, k))))
+        for cuts in itertools.combinations_with_replacement(range(k + 1), n - 1)
+    ]
 
 
 def _opponent_matrix(opponent: FiniteMixedStrategy, game: BlottoGame) -> tuple[np.ndarray, np.ndarray]:

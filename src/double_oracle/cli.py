@@ -42,6 +42,7 @@ from .blotto import (
     BlottoGame,
     BlottoGridOracle,
     BlottoMilpOracle,
+    _grid_steps,
     allocation,
     game_definition,
     simplex_grid,
@@ -175,8 +176,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ParameterError(f"n: need at least 2 battlefields, got {cfg.n}")
         if not 0 < cfg.c <= 1:
             raise ParameterError(f"c: must lie in (0, 1], got {cfg.c}")
-        if cfg.a is not None and (len(cfg.a) != cfg.n or any(not (w > 0) for w in cfg.a)):
-            raise ParameterError(f"a: need {cfg.n} positive weights, got {cfg.a}")
+        if cfg.a is not None and (
+            len(cfg.a) != cfg.n or not all(math.isfinite(w) and w > 0 for w in cfg.a)
+        ):
+            raise ParameterError(f"a: need {cfg.n} weights, each finite and > 0, got {cfg.a}")
         if cfg.oracle not in BLOTTO_ORACLES:
             raise ParameterError(
                 f"oracle: unknown oracle {cfg.oracle!r}; choices are {', '.join(BLOTTO_ORACLES)}"
@@ -190,12 +193,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 "init: random starting points leave the allocation lattice that "
                 "the enumeration oracle searches; use corners or grid"
             )
-        lattice = cfg.init == "grid" or cfg.oracle == "enumeration"
-        if lattice and abs(1.0 / cfg.c - round(1.0 / cfg.c)) > 1e-9:
-            name = "init" if cfg.init == "grid" else "oracle"
-            raise ParameterError(
-                f"{name}: 1/c is not integral (c={cfg.c}), so there is no allocation lattice"
-            )
+        if cfg.init == "grid" or cfg.oracle == "enumeration":
+            try:
+                _grid_steps(cfg.c)
+            except ParameterError as exc:
+                name = "init" if cfg.init == "grid" else "oracle"
+                raise ParameterError(f"{name}: {exc}") from None
     if cfg.game == "custom-finite-matrix" and not cfg.matrix:
         raise ParameterError("matrix: a payoff matrix file is required for custom-finite-matrix")
 
@@ -294,17 +297,16 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
+def trace_fields(rec: IterationRecord) -> tuple:
+    """The values of ``rec`` under :data:`RUN_HEADER`, in its order."""
+    return (
+        rec.index, rec.lower, rec.upper, rec.gap, rec.subgame_value,
+        rec.size_x, rec.size_y, rec.time_s,
+    )
+
+
 def _trace_row(rec: IterationRecord) -> list[str]:
-    return [
-        str(rec.index),
-        _fmt(rec.lower),
-        _fmt(rec.upper),
-        _fmt(rec.upper - rec.lower),
-        _fmt(rec.subgame_value),
-        str(rec.size_x),
-        str(rec.size_y),
-        _fmt(rec.time_s),
-    ]
+    return [str(v) if isinstance(v, int) else _fmt(v) for v in trace_fields(rec)]
 
 
 def _mixture_payload(mix: FiniteMixedStrategy) -> dict[str, list]:
@@ -347,6 +349,31 @@ def solve(
     return fp.empirical1, fp.empirical2, fp.trace, TERMINATED_CAP
 
 
+def result_payload(
+    cfg: ExperimentConfig,
+    p_star: FiniteMixedStrategy,
+    q_star: FiniteMixedStrategy,
+    trace: list[IterationRecord],
+    terminated: str,
+) -> dict:
+    """The JSON summary of a run: ``cfg`` and what :func:`solve` returned for it."""
+    last = trace[-1]
+    return {
+        "game": cfg.game,
+        "algorithm": cfg.algorithm,
+        "seed": cfg.seed,
+        "config": asdict(cfg),
+        "value": float(last.subgame_value),
+        "lower": float(last.lower),
+        "upper": float(last.upper),
+        "gap": float(last.gap),
+        "iterations": len(trace),
+        "terminated_by": terminated,
+        "p_star": _mixture_payload(p_star),
+        "q_star": _mixture_payload(q_star),
+    }
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute one configured run; returns the process exit status."""
     os.makedirs(cfg.outdir, exist_ok=True)
@@ -364,28 +391,14 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
         p_star, q_star, trace, terminated = solve(cfg, problem, emit)
 
-    last = trace[-1]
-    payload = {
-        "game": cfg.game,
-        "algorithm": cfg.algorithm,
-        "seed": cfg.seed,
-        "config": asdict(cfg),
-        "value": float(last.subgame_value),
-        "lower": float(last.lower),
-        "upper": float(last.upper),
-        "gap": float(last.upper - last.lower),
-        "iterations": len(trace),
-        "terminated_by": terminated,
-        "p_star": _mixture_payload(p_star),
-        "q_star": _mixture_payload(q_star),
-    }
+    payload = result_payload(cfg, p_star, q_star, trace, terminated)
     with open(result_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
     print(
-        f"{cfg.game} / {cfg.algorithm}: value {_fmt(last.subgame_value)}, "
-        f"gap {_fmt(last.upper - last.lower)} after {len(trace)} iteration(s) "
+        f"{cfg.game} / {cfg.algorithm}: value {_fmt(payload['value'])}, "
+        f"gap {_fmt(payload['gap'])} after {len(trace)} iteration(s) "
         f"[{terminated}]"
     )
     print(f"trace:  {trace_path}")

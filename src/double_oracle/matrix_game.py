@@ -3,7 +3,7 @@
 The row player's LP is ``max v`` subject to ``A^T p >= v``, ``sum(p) = 1``,
 ``p >= 0``; the column player's strategy is the dual of the ``A^T p >= v``
 rows.  A :class:`MatrixGame` holds one HiGHS model of that LP for its whole
-life, built by its first :func:`solve_zero_sum`.  A new row strategy adds
+life, built by :func:`subgame_matrix` with the game.  A new row strategy adds
 one LP column, a new column strategy adds one LP row, and each later solve
 starts from the previous optimal basis.  The minimax certificate below is
 verified on the returned pair, independent of the solver.
@@ -16,7 +16,7 @@ HiGHS is reached through scipy's private compiled binding, loaded by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -96,75 +96,30 @@ class _SubgameLP:
 
 @dataclass
 class MatrixGame:
-    """Payoff matrix for player 1 plus the pure strategies labeling its axes.
+    """A double-oracle subgame: player 1's payoffs over the held strategy sets.
 
-    ``rows`` and ``cols`` are :class:`~.core.PointSet` s: given ones are
-    kept as they are, and other labels are made into PointSets, so a label
-    within :data:`~.core.MERGE_TOL` of another on its axis raises
-    :class:`ModelError`.  The game grows in place through
-    :meth:`add_row` and :meth:`add_col`, and its LP model, once
-    :func:`solve_zero_sum` has built it, grows with it.
+    ``payoff[i, j]`` is the utility of row strategy ``rows.points[i]``
+    against column strategy ``cols.points[j]``; ``rows`` and ``cols`` are
+    :class:`~.core.PointSet` s, so no two labels of an axis lie within
+    :data:`~.core.MERGE_TOL`.  ``_lp`` is the HiGHS model of the game's LP.
+    :func:`subgame_matrix` makes a game and :func:`extend_subgame` grows one,
+    the payoffs, labels and LP together.
     """
 
     payoff: np.ndarray
     rows: PointSet
     cols: PointSet
-    _lp: _SubgameLP | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.payoff = np.asarray(self.payoff, dtype=float)
-        if self.payoff.ndim != 2 or self.payoff.size == 0:
-            raise ModelError(f"payoff must be a nonempty matrix, got shape {self.payoff.shape}")
-        if not np.all(np.isfinite(self.payoff)):
-            raise ModelError("payoff entries must be finite")
-        given = (len(self.rows), len(self.cols))
-        self.rows, self.cols = _point_set(self.rows), _point_set(self.cols)
-        if given != self.payoff.shape or (len(self.rows), len(self.cols)) != given:
-            raise ModelError("strategy labels must match the payoff shape and lie MERGE_TOL apart")
-
-    def add_row(self, strategy: StrategyPoint, payoffs: Sequence[float]) -> None:
-        """Append row strategy ``strategy`` earning ``payoffs[j]`` against column ``j``."""
-        _require_new(self.rows, strategy, "row")
-        self._append_row(strategy, payoffs)
-
-    def add_col(self, strategy: StrategyPoint, payoffs: Sequence[float]) -> None:
-        """Append column strategy ``strategy`` paying ``payoffs[i]`` against row ``i``."""
-        _require_new(self.cols, strategy, "column")
-        self._append_col(strategy, payoffs)
-
-    def _append_row(self, strategy: StrategyPoint, payoffs: Sequence[float]) -> None:
-        """:meth:`add_row` for a ``strategy`` that ``rows.index`` has already found new."""
-        row = _new_line(payoffs, self.payoff.shape[1])
-        self.rows._append(strategy)
-        self.payoff = np.vstack([self.payoff, row])
-        if self._lp is not None:
-            self._lp.add_row_strategy(row)
-
-    def _append_col(self, strategy: StrategyPoint, payoffs: Sequence[float]) -> None:
-        """:meth:`add_col` for a ``strategy`` that ``cols.index`` has already found new."""
-        col = _new_line(payoffs, self.payoff.shape[0])
-        self.cols._append(strategy)
-        self.payoff = np.column_stack([self.payoff, col])
-        if self._lp is not None:
-            self._lp.add_col_strategy(col)
+    _lp: _SubgameLP
 
 
-def _point_set(labels: PointSet | Sequence[StrategyPoint]) -> PointSet:
-    return labels if isinstance(labels, PointSet) else PointSet(labels)
-
-
-def _require_new(labels: PointSet, strategy: StrategyPoint, axis: str) -> None:
-    if labels.index(strategy) is not None:
-        raise ModelError(f"{axis} strategy {strategy.coords} is within MERGE_TOL of a held one")
-
-
-def _new_line(payoffs: Sequence[float], size: int) -> np.ndarray:
-    line = np.asarray(payoffs, dtype=float)
-    if line.shape != (size,):
-        raise ModelError(f"expected {size} payoffs, got shape {line.shape}")
-    if not np.all(np.isfinite(line)):
+def _payoffs(values, shape: tuple[int, ...]) -> np.ndarray:
+    """What ``game.utility`` returned, as floats, once it has ``shape`` and finite entries."""
+    payoff = np.asarray(values, dtype=float)
+    if payoff.shape != shape:
+        raise ModelError(f"utility returned shape {payoff.shape}, expected {shape}")
+    if not np.all(np.isfinite(payoff)):
         raise ModelError("payoff entries must be finite")
-    return line
+    return payoff
 
 
 def embed_matrix_game(
@@ -204,8 +159,12 @@ def subgame_matrix(
     xs: Sequence[StrategyPoint],
     ys: Sequence[StrategyPoint],
 ) -> MatrixGame:
-    """Payoff matrix ``A[i][j] = u(x_i, y_j)`` evaluated by the game itself, over
-    ``xs`` and ``ys`` less each point within MERGE_TOL of an earlier one."""
+    """The subgame ``A[i][j] = u(x_i, y_j)`` evaluated by the game itself, over
+    ``xs`` and ``ys`` less each point within MERGE_TOL of an earlier one.
+
+    Its HiGHS model is built here.  A utility that returns another shape
+    than ``(rows, cols)``, or a non-finite entry, raises :class:`ModelError`.
+    """
     for pt in xs:
         require_in_space(game.space1, pt, "player 1")
     for pt in ys:
@@ -213,8 +172,10 @@ def subgame_matrix(
     rows, cols = PointSet(xs), PointSet(ys)
     if not rows or not cols:
         raise ModelError("subgame needs at least one strategy per player")
-    payoff = game.utility(rows.coords[:, None, :], cols.coords[None, :, :])
-    return MatrixGame(np.asarray(payoff, dtype=float), rows, cols)
+    payoff = _payoffs(
+        game.utility(rows.coords[:, None, :], cols.coords[None, :, :]), (len(rows), len(cols))
+    )
+    return MatrixGame(payoff, rows, cols, _SubgameLP(payoff))
 
 
 def extend_subgame(
@@ -230,7 +191,10 @@ def extend_subgame(
     same sequence counts as held.  Each point is looked up once.  Only the
     new entries are evaluated: ``u(x, .)`` over the held columns for each
     new ``x``, then ``u(., y)`` over every row for each new ``y``, so the
-    corners ``u(x, y)`` land in the new columns.
+    corners ``u(x, y)`` land in the new columns.  A point is appended to its
+    axis, the payoffs and the LP only once its payoffs have the right shape
+    and are finite; otherwise :class:`ModelError` is raised and the points
+    before it stay added.
     """
     for x in xs:
         require_in_space(game.space1, x, "player 1")
@@ -239,11 +203,17 @@ def extend_subgame(
     added = 0
     for x in xs:
         if mg.rows.index(x) is None:
-            mg._append_row(x, game.utility(x.array()[None, :], mg.cols.coords))
+            row = _payoffs(game.utility(x.array()[None, :], mg.cols.coords), (len(mg.cols),))
+            mg._lp.add_row_strategy(row)
+            mg.rows._append(x)
+            mg.payoff = np.vstack([mg.payoff, row])
             added += 1
     for y in ys:
         if mg.cols.index(y) is None:
-            mg._append_col(y, game.utility(mg.rows.coords, y.array()[None, :]))
+            col = _payoffs(game.utility(mg.rows.coords, y.array()[None, :]), (len(mg.rows),))
+            mg._lp.add_col_strategy(col)
+            mg.cols._append(y)
+            mg.payoff = np.column_stack([mg.payoff, col])
             added += 1
     return added
 
@@ -253,17 +223,15 @@ def solve_zero_sum(
 ) -> tuple[FiniteMixedStrategy, FiniteMixedStrategy, float]:
     """Equilibrium ``(p*, q*, value)`` of the matrix game.
 
-    The first call builds the game's HiGHS model; later calls re-solve it
-    from the previous basis after the game has grown.  ``value`` is
-    ``p*^T A q*``, summed from the held payoffs over the mixtures' atoms.
+    Each call re-solves the game's HiGHS model from the previous call's
+    basis, if any.  ``value`` is ``p*^T A q*``, summed from the held
+    payoffs over the mixtures' atoms.
     The LP optimum ``v`` must satisfy the minimax certificate
     ``max_i (A q*)_i = v = min_j (p*^T A)_j`` within :data:`VALUE_TOL`; a
     violation raises :class:`ModelError`, and so does an LP that HiGHS does
     not solve to optimality, warm or cold.
     """
     A = mg.payoff
-    if mg._lp is None:
-        mg._lp = _SubgameLP(A)
     p_raw, q_raw, lp_value = mg._lp.solve()
     p_raw = np.clip(p_raw, 0.0, None)
     q_raw = np.clip(q_raw, 0.0, None)

@@ -194,6 +194,10 @@ def test_error_messages_name_the_field(tmp_path, capsys):
         assert run_cli("run", "--game", "g1", flag, bad, "--outdir", str(tmp_path)) == 1
         assert capsys.readouterr().err.startswith(f"error: {field}:")
 
+    # an infinite weight passes a plain `w > 0` check
+    assert run_cli("run", "--game", "blotto", "--a", "inf,1,1", "--outdir", str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error: a:")
+
 
 def test_grid_too_fine_to_build_is_an_error(tmp_path, capsys):
     assert run_cli("run", "--game", "g1", "--resolution", "1e-300",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy
@@ -9,9 +11,7 @@ import double_oracle.matrix_game as matrix_game
 from double_oracle import (
     BlottoGame,
     DomainError,
-    MatrixGame,
     ModelError,
-    PointSet,
     embed_matrix_game,
     make_polynomial_game,
     merge_duplicates,
@@ -138,32 +138,6 @@ def test_embedding_rejects_bad_payoffs():
         embed_matrix_game(np.zeros((0, 3)))
 
 
-def test_matrix_game_validation():
-    with pytest.raises(ModelError):
-        MatrixGame(np.zeros((2, 2)), (point(0.0),), (point(0.0), point(1.0)))
-    with pytest.raises(ModelError):
-        MatrixGame(np.array([[np.nan]]), (point(0.0),), (point(0.0),))
-    # a PointSet given as labels is kept, not rebuilt
-    rows = PointSet([point(0.0)])
-    assert MatrixGame(np.zeros((1, 1)), rows, (point(0.0),)).rows is rows
-
-
-def test_repeated_labels_are_rejected():
-    for near in (0.0, 5e-10):  # an exact repeat, and one within MERGE_TOL
-        with pytest.raises(ModelError):
-            MatrixGame(np.zeros((2, 1)), (point(0.0), point(near)), (point(1.0),))
-        with pytest.raises(ModelError):
-            MatrixGame(np.zeros((1, 2)), (point(0.0),), (point(1.0), point(1.0 + near)))
-        mg = subgame_matrix(*embed_matrix_game(PENNIES))
-        with pytest.raises(ModelError):
-            mg.add_row(point(1.0 - near), [0.0, 0.0])
-        with pytest.raises(ModelError):
-            mg.add_col(point(0.0 + near), [0.0, 0.0])
-        assert mg.payoff.shape == (2, 2)
-        assert len(mg.rows) == len(mg.cols) == 2
-        assert mg.rows.coords.shape == mg.cols.coords.shape == (2, 1)
-
-
 def test_extend_subgame_adds_only_points_its_axes_lack():
     game = make_polynomial_game()
     mg = subgame_matrix(game, [point(0.0), point(0.2)], [point(-1.0)])
@@ -182,6 +156,36 @@ def test_extend_subgame_adds_only_points_its_axes_lack():
         mg.payoff, game.utility(mg.rows.coords[:, None, :], mg.cols.coords[None, :, :])
     )
     assert extend_subgame(mg, game, [point(0.0)], []) == 0
+
+
+def subgame_state(mg):
+    return (
+        list(mg.rows.points), list(mg.cols.points), mg.payoff.tolist(),
+        mg._lp.highs.getNumCol(), mg._lp.highs.getNumRow(),
+    )
+
+
+def test_bad_utility_output_raises_before_anything_is_added():
+    game, rows, cols = embed_matrix_game([*PENNIES, [2.0, -2.0]])
+
+    def nan_at_row_2_col_1(x, y):
+        u = game.utility(x, y)
+        return np.where((x[..., 0] == 2.0) & (y[..., 0] == 1.0), np.nan, u)
+
+    def one_entry_short(x, y):
+        return game.utility(x, y)[..., :-1]
+
+    for utility in (nan_at_row_2_col_1, one_entry_short):
+        bad = replace(game, utility=utility)
+        with pytest.raises(ModelError):
+            subgame_matrix(bad, rows, cols)
+        # a new row against the held column 1, then a new column 1 against row 2
+        for held, new in [((rows[:2], cols), (rows[2:], [])), ((rows, cols[:1]), ([], cols[1:]))]:
+            mg = subgame_matrix(game, *held)
+            before = subgame_state(mg)
+            with pytest.raises(ModelError):
+                extend_subgame(mg, bad, *new)
+            assert subgame_state(mg) == before
 
 
 # ------------------------------------------------- the persistent HiGHS LP
@@ -235,10 +239,6 @@ def fresh_lp_value(A):
     return float(res.x[-1])
 
 
-def label(i):
-    return point(float(i))
-
-
 def lp_weights(mg):
     """The normalized p and q of the last HiGHS solution held by ``mg``."""
     solution = mg._lp.highs.getSolution()
@@ -270,16 +270,17 @@ def test_growing_subgame_matches_a_fresh_lp(m, k, seed, kind, data):
         full[:] = float(rng.normal())
     order = data.draw(st.permutations(["row"] * (m - 1) + ["col"] * (k - 1)))
 
-    mg = MatrixGame(full[:1, :1], (label(0),), (label(0),))
+    game, row_labels, col_labels = embed_matrix_game(full)
+    mg = subgame_matrix(game, row_labels[:1], col_labels[:1])
     _, _, value = solve_zero_sum(mg)
     assert value == pytest.approx(full[0, 0], abs=VALUE_TOL)
     rows = cols = 1
     for step in order:
         if step == "row":
-            mg.add_row(label(rows), full[rows, :cols])
+            assert extend_subgame(mg, game, [row_labels[rows]], []) == 1
             rows += 1
         else:
-            mg.add_col(label(cols), full[:rows, cols])
+            assert extend_subgame(mg, game, [], [col_labels[cols]]) == 1
             cols += 1
         p, q, value = solve_zero_sum(mg)
         assert np.array_equal(mg.payoff, full[:rows, :cols])
@@ -327,11 +328,12 @@ def grown_pennies(monkeypatch, failures):
     """Matching pennies solved once, then grown by one row, on a flaky model."""
     FlakyHighs.made.clear()
     monkeypatch.setattr(matrix_game, "_Highs", lambda: FlakyHighs(0))
-    mg = subgame_matrix(*embed_matrix_game(PENNIES))
+    game, rows, cols = embed_matrix_game([*PENNIES, [2.0, -2.0]])
+    mg = subgame_matrix(game, rows[:2], cols)
     solve_zero_sum(mg)
     flaky = FlakyHighs.made[0]
     flaky.failures = flaky.runs + failures
-    mg.add_row(label(2), [2.0, -2.0])
+    extend_subgame(mg, game, rows[2:], [])
     return mg, flaky
 
 

@@ -45,7 +45,8 @@ def test_report_matches_solve_and_flags_a_low_milp_value(tmp_path, monkeypatch, 
     blotto = [(cfg.game, cfg.oracle, cfg.init, cfg.c, cfg.epsilon) for cfg, _, _ in solved[4:]]
     assert blotto == [("blotto", "enumeration", init, 0.0625, 1e-6) for init in ("grid", "corners")]
     for row, (cfg, trace, ended) in zip(rows, solved):
-        assert (row["game"], row["algorithm"], row["ended"]) == (cfg.game, cfg.algorithm, ended)
+        assert (row["game"], row["algorithm"]) == (cfg.game, cfg.algorithm)
+        assert row["terminated_by"] == ended
         assert row["iterations"] == len(trace)
         assert row["gap"] == trace[-1].gap
         assert len(row["trace"]) == len(trace)
