@@ -260,9 +260,20 @@ class BlottoGridOracle(FinitePointOracle):
 
     A :class:`FinitePointOracle` over :func:`simplex_grid` with the game's
     margin ``c`` as spacing; ties go to the lexicographically smallest
-    allocation.  The declared accuracy of 0.0 holds on the grid only.
-    Start double oracle from grid points: an off-grid subgame strategy can
-    beat every grid response, and the engine then raises
+    allocation, and ``extra`` holds the next-best lattice points.
+
+    The declared accuracy of 0.0 holds for the continuous game whenever
+    every atom of the query lies on the lattice.  Battlefield ``j``'s payoff
+    against such a mixture is then piecewise linear in ``x_j``, with
+    breakpoints at 0, 1 and the atoms' ``y_j +- c``, all multiples of ``c``.
+    On each box of consecutive breakpoints the utility is linear, so its
+    maximum over that box and the simplex lies at a vertex: ``n - 1``
+    coordinates on box bounds and the last one closing the budget, which
+    is a multiple of ``c`` as ``1/c`` is an integer.  So some continuous
+    best response is a lattice point.  Double oracle from lattice starts
+    asks only such queries, since every answer is a lattice point.  Against
+    an off-lattice atom the accuracy need not hold: an off-lattice subgame
+    strategy can beat every lattice response, and the engine then raises
     :class:`OracleContractError`.  For another spacing, use a
     :class:`FinitePointOracle` over that :func:`simplex_grid`.
     """

@@ -15,7 +15,7 @@ from .core import (
     StrategyPoint,
 )
 from .errors import ModelError, ParameterError
-from .oracles import OracleAnswer, _check_player
+from .oracles import EXTRA_RESPONSES, OracleAnswer, _check_player
 
 DEFAULT_RESOLUTION = 1e-4
 # Conservative Lipschitz bounds (both coordinates) for the built-in games.
@@ -27,8 +27,6 @@ CELL_POINTS = 64
 # its bound misses the best endpoint value by more than this times the
 # payoff magnitudes, so rounding in the sums never drops the optimum.
 BOUND_SLACK = 1e-12
-# Most grid points GridSearchOracle.respond returns besides its answer.
-EXTRA_RESPONSES = 2
 
 # Sorted, read-only grids by (repr of the space, resolution), shared by the
 # oracles that hold them; the repr tells -0.0 from 0.0, which == does not.

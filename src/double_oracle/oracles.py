@@ -26,15 +26,23 @@ from .core import (
 )
 from .errors import ModelError, ParameterError
 
+# Most strategies a built-in oracle returns in ``OracleAnswer.extra``.
+EXTRA_RESPONSES = 2
+
 
 @dataclass(frozen=True)
 class OracleAnswer:
     """A best response ``point`` and its payoff ``value`` against the query.
 
-    ``extra`` holds further strategies of the same player, distinct from
+    ``extra`` holds further strategies of the same player, other than
     ``point``, that the oracle found promising on the way.  They come with
     no value and no guarantee: the double oracle adds them to its strategy
-    sets, and no bound uses them.
+    sets, no bound uses them, and fictitious play ignores them.  The
+    built-in oracles return at most :data:`EXTRA_RESPONSES`:
+    :class:`FinitePointOracle` (and so :class:`~.blotto.BlottoGridOracle`)
+    its next-best candidates, :class:`~.one_dim.GridSearchOracle` the best
+    peaks of its cell-endpoint sums.  The MILP oracle and fictitious play's
+    running responders return none.
     """
 
     point: StrategyPoint
@@ -55,39 +63,22 @@ def _check_player(player: int) -> int:
     return player
 
 
-def best_over_points(
-    candidates: np.ndarray,
-    opponent: FiniteMixedStrategy,
-    game: GameDefinition,
-    player: int,
-) -> tuple[int, float]:
-    """Index and value of the best candidate row against ``opponent``.
-
-    ``candidates`` has one pure strategy per row.  Ties resolve to the lowest
-    index, which for lexicographically sorted candidate arrays means the
-    lexicographically smallest winner.  A NaN value, or an infinite best,
-    raises :class:`~.errors.ModelError`.
-    """
-    atoms = opponent.atoms_array()
-    weights = opponent.weights_array()
-    if player == 1:
-        table = game.utility(candidates[:, None, :], atoms[None, :, :])
-    else:
-        table = game.utility(atoms[None, :, :], candidates[:, None, :])
-    values = np.asarray(table, dtype=float) @ weights
-    # argmax and argmin pick the first NaN if there is one.
-    idx = int(np.argmax(values)) if player == 1 else int(np.argmin(values))
-    value = float(values[idx])
-    if not math.isfinite(value):
-        raise ModelError(f"utility returned {value} at a candidate point")
-    return idx, value
-
-
 class FinitePointOracle:
     """Exhaustive search over an explicit list of pure strategies.
 
     Exact (accuracy 0) relative to the candidate list: useful for games that
     are finite to begin with, or as a restricted oracle over a fixed grid.
+    The answer is the best candidate against the query, ties to the lowest
+    index, which for a lexicographically sorted list means the
+    lexicographically smallest winner.  A NaN value, or an infinite best,
+    raises :class:`~.errors.ModelError`.
+
+    The answer's ``extra`` holds the next :data:`EXTRA_RESPONSES`
+    candidates by value, best first (largest for player 1, smallest for
+    player 2), ties to the lowest index.  Candidates with a non-finite
+    value are left out, and so is the answer's index; a candidate list
+    that repeats a point can repeat it there, and the engine adds a held
+    strategy only once.  They cost no utility evaluations.
     """
 
     def __init__(
@@ -109,5 +100,20 @@ class FinitePointOracle:
         self.accuracy = 0.0
 
     def respond(self, opponent: FiniteMixedStrategy) -> OracleAnswer:
-        idx, value = best_over_points(self._arr, opponent, self.game, self.player)
-        return OracleAnswer(self.points[idx], value)
+        atoms = opponent.atoms_array()
+        weights = opponent.weights_array()
+        if self.player == 1:
+            table = self.game.utility(self._arr[:, None, :], atoms[None, :, :])
+        else:
+            table = self.game.utility(atoms[None, :, :], self._arr[:, None, :])
+        values = np.asarray(table, dtype=float) @ weights
+        side = values if self.player == 1 else -values
+        # argmax picks the first NaN if there is one.
+        idx = int(np.argmax(side))
+        value = float(values[idx])
+        if not math.isfinite(value):
+            raise ModelError(f"utility returned {value} at a candidate point")
+        rest = np.flatnonzero(np.isfinite(side))
+        rest = rest[rest != idx]
+        best = rest[np.lexsort((rest, -side[rest]))[:EXTRA_RESPONSES]]
+        return OracleAnswer(self.points[idx], value, tuple(self.points[i] for i in best))

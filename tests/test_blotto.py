@@ -509,6 +509,20 @@ def test_grid_oracle_agrees_with_enumeration():
     assert o1.accuracy == 0.0
 
 
+def test_grid_oracle_is_exact_for_the_continuous_game_on_lattice_queries():
+    # Against atoms on the lattice every breakpoint is a lattice point, so
+    # some continuous best response is one: the MILP can do no better.
+    rng = np.random.default_rng(23)
+    for k in range(80):
+        n, c, player = 3 + k % 2, (0.25, 0.125, 0.0625)[k // 2 % 3], 1 + k // 6 % 2
+        game = BlottoGame(n, tuple(rng.uniform(0.5, 1.5, n)), c)
+        mix = random_grid_mixture(rng, game, int(rng.integers(1, 7)))
+        sign = 1.0 if player == 1 else -1.0
+        lattice = sign * BlottoGridOracle(game, player).respond(mix).value
+        milp = sign * BlottoMilpOracle(game, player).respond(mix).value
+        assert milp - 1e-12 <= lattice <= milp + MILP_ACCURACY, (n, c, player, lattice, milp)
+
+
 def test_grid_oracle_player2_minimizes():
     rng = np.random.default_rng(18)
     mix = random_grid_mixture(rng, GAME_8, 4)

@@ -12,6 +12,7 @@ from double_oracle import (
     BlottoMilpOracle,
     Box,
     DomainError,
+    FiniteMixedStrategy,
     FinitePointOracle,
     GameDefinition,
     GridSearchOracle,
@@ -33,7 +34,8 @@ from double_oracle import (
     run_fictitious_play,
 )
 from double_oracle.blotto import game_definition
-from double_oracle.one_dim import EXTRA_RESPONSES, POLYNOMIAL_LIPSCHITZ, TOWNSEND_LIPSCHITZ
+from double_oracle.one_dim import POLYNOMIAL_LIPSCHITZ, TOWNSEND_LIPSCHITZ
+from double_oracle.oracles import EXTRA_RESPONSES
 
 RPS = [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]
 
@@ -98,18 +100,65 @@ def test_run_stops_once_an_iteration_adds_nothing(monkeypatch, make, lipschitz):
     assert len(calls) == res.iterations
 
 
-def test_only_the_grid_oracle_returns_extras():
+def test_which_oracles_return_extras():
+    # The exhaustive oracles return their next-best candidates; the MILP
+    # oracle and fictitious play's running responder return none.
     game, o1, o2, rows, cols = finite_setup(RPS)
-    assert o1.respond(dirac(cols[0])).extra == o2.respond(dirac(rows[0])).extra == ()
+    assert o1.respond(dirac(cols[0])).extra == (rows[0], rows[2])
+    assert o2.respond(dirac(rows[0])).extra == (cols[0], cols[2])
     bg = BlottoGame(3, (1.0, 1.0, 1.0), 0.25)
     corner = dirac(point(1.0, 0.0, 0.0))
-    for oracle in (BlottoGridOracle(bg, 1), BlottoMilpOracle(bg, 2)):
-        assert oracle.respond(corner).extra == ()
+    answer = BlottoGridOracle(bg, 1).respond(corner)
+    assert len(answer.extra) == EXTRA_RESPONSES and answer.point not in answer.extra
+    assert BlottoMilpOracle(bg, 2).respond(corner).extra == ()
     _, g1, _ = polynomial_setup(1e-3)
     responder = g1.running()
     responder.add(point(0.3))
     assert responder.respond().extra == ()
     assert g1.respond(dirac(point(0.3))).extra
+
+
+def table_game(payoff):
+    """A finite game on the indices of ``payoff``, which may hold infinities."""
+    m, k = payoff.shape
+
+    def lookup(x, y):
+        return payoff[np.rint(x[..., 0]).astype(int), np.rint(y[..., 0]).astype(int)]
+
+    game = GameDefinition(Box((0.0,), (m - 1.0,)), Box((0.0,), (k - 1.0,)), lookup)
+    return game, [point(float(i)) for i in range(m)], [point(float(j)) for j in range(k)]
+
+
+def test_finite_point_extras_follow_a_brute_force_ranking():
+    # Small integer payoffs and weights in eighths keep every sum exact, so
+    # repeated rows tie exactly; a row (column) of -inf (+inf) is a
+    # candidate with a non-finite value that must never be returned.
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        player = 1 + trial % 2
+        m = int(rng.integers(1, 9))
+        distinct = rng.integers(-3, 4, size=(3, 6)).astype(float)
+        lines = distinct[rng.integers(0, 3, size=m)]
+        lines[rng.random(m) < 0.2] = -np.inf if player == 1 else np.inf
+        if np.isinf(lines[:, 0]).all():
+            lines[0] = distinct[0]
+        payoff = lines if player == 1 else lines.T
+        game, rows, cols = table_game(payoff)
+        support = int(rng.integers(1, 5))
+        atoms = rng.choice(6, size=support, replace=False)
+        cuts = np.sort(rng.choice(np.arange(1, 8), size=support - 1, replace=False))
+        weights = np.diff(np.r_[0, cuts, 8]) / 8.0
+        own, other = (rows, cols) if player == 1 else (cols, rows)
+        mix = FiniteMixedStrategy(tuple(other[j] for j in atoms), tuple(weights))
+        values = lines[:, atoms] @ weights
+        sign = 1.0 if player == 1 else -1.0
+        ranking = sorted(
+            (i for i in range(m) if math.isfinite(values[i])), key=lambda i: (-sign * values[i], i)
+        )
+        answer = FinitePointOracle(game, player, own).respond(mix)
+        assert answer.point == own[ranking[0]]
+        assert answer.value == values[ranking[0]]
+        assert answer.extra == tuple(own[i] for i in ranking[1 : EXTRA_RESPONSES + 1])
 
 
 def test_bounds_sandwich_every_iteration():

@@ -31,12 +31,12 @@ import double_oracle.one_dim as one_dim
 from double_oracle.blotto import game_definition
 from double_oracle.one_dim import (
     CELL_POINTS,
-    EXTRA_RESPONSES,
     POLYNOMIAL_LIPSCHITZ,
     TOWNSEND_LIPSCHITZ,
     _row_sums,
     polynomial_utility,
 )
+from double_oracle.oracles import EXTRA_RESPONSES
 
 Q_STAR = FiniteMixedStrategy((point(1.0), point(-1.0)), (0.78, 0.22))
 
