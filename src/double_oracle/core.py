@@ -71,8 +71,7 @@ class PointSet:
     def __init__(self, points: Iterable[StrategyPoint] = ()):
         self.points: list[StrategyPoint] = []
         self.coords = np.empty((0, 0))
-        for pt in points:
-            self.add(pt)
+        self._extend(self.lacking(list(points)))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -92,14 +91,53 @@ class PointSet:
     def add(self, pt: StrategyPoint) -> int:
         """:meth:`index` of ``pt``, appending ``pt`` first when no held point is that close."""
         k = self.index(pt)
-        return self._append(pt) if k is None else k
-
-    def _append(self, pt: StrategyPoint) -> int:
-        """Append ``pt`` without a lookup; the caller has found :meth:`index` None."""
-        k = len(self.points)
-        self.points.append(pt)
-        self.coords = np.vstack([self.coords, pt.array()]) if k else pt.array()[None, :]
+        if k is None:
+            k = len(self.points)
+            self._extend([pt])
         return k
+
+    def lacking(self, pts: Sequence[StrategyPoint]) -> list[StrategyPoint]:
+        """The points of ``pts`` that :meth:`add` would append, one after the
+        other: those farther than MERGE_TOL in max-norm from every held point
+        and from every earlier one of the result.
+
+        Two distance matrices serve the whole sequence.  A point of another
+        dimension than the others raises :class:`DomainError`.
+        """
+        if not pts:
+            return []
+        dim = self.coords.shape[1] if self.points else pts[0].dim
+        for pt in pts:
+            if pt.dim != dim:
+                raise DomainError(f"point {pt.coords} is not {dim}-D like the set")
+        arr = np.array([pt.coords for pt in pts], dtype=float)
+        if self.points:
+            keep = (_max_dists(arr, self.coords) > MERGE_TOL).all(axis=1)
+        else:
+            keep = np.ones(len(pts), dtype=bool)
+        if len(pts) > 1:
+            near = _max_dists(arr, arr) <= MERGE_TOL
+            if near.sum() > len(pts):  # two of the points are near each other
+                for i in range(1, len(pts)):  # in order, so keep[:i] is final
+                    keep[i] &= not (near[i, :i] & keep[:i]).any()
+        return [pt for pt, kept in zip(pts, keep.tolist()) if kept]
+
+    def _extend(self, pts: Sequence[StrategyPoint]) -> None:
+        """Append ``pts`` without a lookup, as :meth:`index` or :meth:`lacking` chose them."""
+        if pts:
+            arr = np.array([pt.coords for pt in pts], dtype=float)
+            self.coords = np.vstack([self.coords, arr]) if self.points else arr
+            self.points.extend(pts)
+
+
+def _max_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max-norm distances between the rows of ``a`` and of ``b``, as an
+    ``(len(a), len(b))`` array built one coordinate at a time (numpy takes
+    ``max`` over a short last axis slowly)."""
+    dist = np.abs(a[:, None, 0] - b[None, :, 0])
+    for k in range(1, a.shape[1]):
+        np.maximum(dist, np.abs(a[:, None, k] - b[None, :, k]), out=dist)
+    return dist
 
 
 def _axis_grid(lo: float, hi: float, resolution: float) -> np.ndarray:

@@ -13,10 +13,11 @@ and so every later iteration would then be the same.
 
 The subgame is built once per run and then grows in place.  Its two axes,
 :class:`~.core.PointSet` s, are the strategy sets: an oracle answer within
-:data:`~.core.MERGE_TOL` of a held strategy is not added again.  A new
+:data:`~.core.MERGE_TOL` of a held strategy is not added again.  Each new
 strategy costs one row or column of payoff evaluations and one LP column or
-row, and the LP is re-solved from its previous basis (see
-:mod:`.matrix_game`).
+row, but the strategies of one iteration enter in one block per axis: one
+lookup, one utility call and one LP update each.  The LP is then re-solved
+from its previous basis (see :mod:`.matrix_game`).
 """
 
 from __future__ import annotations

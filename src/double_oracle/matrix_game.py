@@ -4,7 +4,8 @@ The row player's LP is ``max v`` subject to ``A^T p >= v``, ``sum(p) = 1``,
 ``p >= 0``; the column player's strategy is the dual of the ``A^T p >= v``
 rows.  A :class:`MatrixGame` holds one HiGHS model of that LP for its whole
 life, built by :func:`subgame_matrix` with the game.  A new row strategy adds
-one LP column, a new column strategy adds one LP row, and each later solve
+one LP column, a new column strategy adds one LP row, the strategies of one
+:func:`extend_subgame` call in one block per axis, and each later solve
 starts from the previous optimal basis.  The minimax certificate below is
 verified on the returned pair, independent of the solver.
 
@@ -41,8 +42,20 @@ def _check(status) -> None:
         raise ModelError("HiGHS rejected a subgame LP update")
 
 
+def _lines(payoffs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """``[1, -payoffs[i]]`` at LP indices ``0, 1, ...`` for each row ``i``,
+    as HiGHS's nonzero count, starts, indices and values."""
+    m, n = payoffs.shape
+    values = np.empty((m, n + 1))
+    values[:, 0] = 1.0
+    np.negative(payoffs, out=values[:, 1:])
+    index = np.arange(values.size, dtype=np.int32) % (n + 1)
+    starts = np.arange(0, values.size, n + 1, dtype=np.int32)
+    return values.size, starts, index, values.ravel()
+
+
 class _SubgameLP:
-    """The row player's LP as one HiGHS model, grown a strategy at a time.
+    """The row player's LP as one HiGHS model, grown a block of strategies at a time.
 
     Columns are ``v`` (free, cost -1, since HiGHS minimizes) and then one
     ``p_i >= 0`` per row strategy.  Rows are ``sum(p) = 1`` and then one
@@ -52,26 +65,25 @@ class _SubgameLP:
     def __init__(self, payoff: np.ndarray):
         self.highs = _Highs()
         self.highs.setOptionValue("output_flag", False)
-        _check(self.highs.addCol(-1.0, -np.inf, np.inf, 0, [], []))
-        _check(self.highs.addRow(1.0, 1.0, 0, [], []))
-        for _ in range(payoff.shape[0]):
-            self.add_row_strategy(np.empty(0))
-        for column in payoff.T:
-            self.add_col_strategy(column)
+        _check(self.highs.addCols(1, [-1.0], [-np.inf], [np.inf], 0, [0], [], []))
+        _check(self.highs.addRows(1, [1.0], [1.0], 0, [0], [], []))
+        self.add_strategies(np.empty((payoff.shape[0], 0)), payoff)
 
-    def add_row_strategy(self, payoffs: np.ndarray) -> None:
-        """New ``p_i``: 1 in ``sum(p) = 1`` and ``-A[i, j]`` in each column row."""
-        nz = payoffs.size + 1
-        _check(self.highs.addCol(
-            0.0, 0.0, np.inf, nz, np.arange(nz, dtype=np.int32), np.append(1.0, -payoffs)
-        ))
+    def add_strategies(self, new_rows: np.ndarray, new_cols: np.ndarray) -> None:
+        """New row strategies, ``new_rows`` their payoffs against the held
+        columns, then new columns, ``new_cols`` their payoffs from every row.
 
-    def add_col_strategy(self, payoffs: np.ndarray) -> None:
-        """New row ``v - sum_i A[i, j] p_i <= 0`` over every ``p_i``."""
-        nz = payoffs.size + 1
-        _check(self.highs.addRow(
-            -np.inf, 0.0, nz, np.arange(nz, dtype=np.int32), np.append(1.0, -payoffs)
-        ))
+        Each new row strategy ``i`` is one LP column ``p_i``: 1 in
+        ``sum(p) = 1`` and ``-A[i, j]`` in each column row.  Each new column
+        strategy is one LP row ``v - sum_i A[i, j] p_i <= 0`` over every
+        ``p_i``.  Each kind is one HiGHS call.
+        """
+        m, k = new_rows.shape[0], new_cols.shape[1]
+        if m:
+            zeros = np.zeros(m)
+            _check(self.highs.addCols(m, zeros, zeros, np.full(m, np.inf), *_lines(new_rows)))
+        if k:
+            _check(self.highs.addRows(k, np.full(k, -np.inf), np.zeros(k), *_lines(new_cols.T)))
 
     def solve(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Primal ``p``, dual ``q`` and ``v`` at an optimal basis.
@@ -103,7 +115,7 @@ class MatrixGame:
     :class:`~.core.PointSet` s, so no two labels of an axis lie within
     :data:`~.core.MERGE_TOL`.  ``_lp`` is the HiGHS model of the game's LP.
     :func:`subgame_matrix` makes a game and :func:`extend_subgame` grows one,
-    the payoffs, labels and LP together.
+    the payoffs, labels and LP together, in one block per axis and call.
     """
 
     payoff: np.ndarray
@@ -112,14 +124,23 @@ class MatrixGame:
     _lp: _SubgameLP
 
 
-def _payoffs(values, shape: tuple[int, ...]) -> np.ndarray:
-    """What ``game.utility`` returned, as floats, once it has ``shape`` and finite entries."""
-    payoff = np.asarray(values, dtype=float)
+def _block(game: GameDefinition, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``u(xs[i], ys[j])`` from one utility call, once it has that shape and
+    finite entries; no call when ``xs`` or ``ys`` has no point."""
+    shape = (len(xs), len(ys))
+    if not all(shape):
+        return np.empty(shape)
+    payoff = np.asarray(game.utility(xs[:, None, :], ys[None, :, :]), dtype=float)
     if payoff.shape != shape:
         raise ModelError(f"utility returned shape {payoff.shape}, expected {shape}")
-    if not np.all(np.isfinite(payoff)):
+    if not np.isfinite(payoff).all():
         raise ModelError("payoff entries must be finite")
     return payoff
+
+
+def _coords(pts: Sequence[StrategyPoint], like: np.ndarray) -> np.ndarray:
+    """``pts`` as an array with the columns of ``like``, also when empty."""
+    return np.array([pt.coords for pt in pts], dtype=float).reshape(len(pts), like.shape[1])
 
 
 def embed_matrix_game(
@@ -172,9 +193,7 @@ def subgame_matrix(
     rows, cols = PointSet(xs), PointSet(ys)
     if not rows or not cols:
         raise ModelError("subgame needs at least one strategy per player")
-    payoff = _payoffs(
-        game.utility(rows.coords[:, None, :], cols.coords[None, :, :]), (len(rows), len(cols))
-    )
+    payoff = _block(game, rows.coords, cols.coords)
     return MatrixGame(payoff, rows, cols, _SubgameLP(payoff))
 
 
@@ -188,34 +207,32 @@ def extend_subgame(
 
     Returns how many strategies were added.  A point its axis already holds,
     within :data:`~.core.MERGE_TOL`, is not added; an earlier point of the
-    same sequence counts as held.  Each point is looked up once.  Only the
-    new entries are evaluated: ``u(x, .)`` over the held columns for each
-    new ``x``, then ``u(., y)`` over every row for each new ``y``, so the
-    corners ``u(x, y)`` land in the new columns.  A point is appended to its
-    axis, the payoffs and the LP only once its payoffs have the right shape
-    and are finite; otherwise :class:`ModelError` is raised and the points
-    before it stay added.
+    same sequence counts as held (:meth:`~.core.PointSet.lacking`, one
+    lookup per axis).  Each axis grows by one block, and only the new
+    entries are evaluated: one utility call gives the new rows over the
+    held columns, and one gives every row, the new ones included, over the
+    new columns, so the corners ``u(x, y)`` land in the new columns.  Both
+    blocks must have the right shape and finite entries before anything is
+    appended; otherwise :class:`ModelError` is raised and ``mg`` is left as
+    it was.  Then the LP, the payoffs and each axis grow in one step.
     """
     for x in xs:
         require_in_space(game.space1, x, "player 1")
     for y in ys:
         require_in_space(game.space2, y, "player 2")
-    added = 0
-    for x in xs:
-        if mg.rows.index(x) is None:
-            row = _payoffs(game.utility(x.array()[None, :], mg.cols.coords), (len(mg.cols),))
-            mg._lp.add_row_strategy(row)
-            mg.rows._append(x)
-            mg.payoff = np.vstack([mg.payoff, row])
-            added += 1
-    for y in ys:
-        if mg.cols.index(y) is None:
-            col = _payoffs(game.utility(mg.rows.coords, y.array()[None, :]), (len(mg.rows),))
-            mg._lp.add_col_strategy(col)
-            mg.cols._append(y)
-            mg.payoff = np.column_stack([mg.payoff, col])
-            added += 1
-    return added
+    new_x, new_y = mg.rows.lacking(xs), mg.cols.lacking(ys)
+    x_coords, y_coords = _coords(new_x, mg.rows.coords), _coords(new_y, mg.cols.coords)
+    new_rows = _block(game, x_coords, mg.cols.coords)
+    all_rows = np.vstack([mg.rows.coords, x_coords]) if new_x else mg.rows.coords
+    new_cols = _block(game, all_rows, y_coords)
+    mg._lp.add_strategies(new_rows, new_cols)
+    if new_x:
+        mg.payoff = np.vstack([mg.payoff, new_rows])
+        mg.rows._extend(new_x)
+    if new_y:
+        mg.payoff = np.hstack([mg.payoff, new_cols])
+        mg.cols._extend(new_y)
+    return len(new_x) + len(new_y)
 
 
 def solve_zero_sum(

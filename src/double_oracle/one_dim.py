@@ -15,7 +15,7 @@ from .core import (
     StrategyPoint,
 )
 from .errors import ModelError, ParameterError
-from .oracles import EXTRA_RESPONSES, OracleAnswer, _check_player
+from .oracles import OracleAnswer, _check_player
 
 DEFAULT_RESOLUTION = 1e-4
 # Conservative Lipschitz bounds (both coordinates) for the built-in games.
@@ -27,6 +27,9 @@ CELL_POINTS = 64
 # its bound misses the best endpoint value by more than this times the
 # payoff magnitudes, so rounding in the sums never drops the optimum.
 BOUND_SLACK = 1e-12
+# Most peaks GridSearchOracle returns in OracleAnswer.extra.  At 8, do-1d's
+# iterations did not fall (248 -> 249 at seed 1) and its strategy sets grew.
+EXTRA_PEAKS = 2
 
 # Sorted, read-only grids by (repr of the space, resolution), shared by the
 # oracles that hold them; the repr tells -0.0 from 0.0, which == does not.
@@ -181,7 +184,7 @@ class GridSearchOracle:
     atom is filled on every cell.  A NaN payoff at a searched point, or
     an infinite best value, raises :class:`~.errors.ModelError`.
 
-    The answer's ``extra`` holds up to :data:`EXTRA_RESPONSES` cell
+    The answer's ``extra`` holds up to :data:`EXTRA_PEAKS` cell
     endpoints other than its point: the peaks of the endpoint sums along
     each interval, that is their local maxima for the maximizer and local
     minima for the minimizer, best first, ties to the smaller coordinate.
@@ -396,7 +399,7 @@ class GridSearchOracle:
         idx = self._ends[first[peak]]
         keep = idx != answer
         idx, vals = idx[keep], vals[peak][keep]
-        best = np.lexsort((idx, -vals))[:EXTRA_RESPONSES]
+        best = np.lexsort((idx, -vals))[:EXTRA_PEAKS]
         return tuple(self._point(i) for i in idx[best])
 
     def running(self) -> RunningGridResponse:

@@ -26,8 +26,9 @@ from .core import (
 )
 from .errors import ModelError, ParameterError
 
-# Most strategies a built-in oracle returns in ``OracleAnswer.extra``.
-EXTRA_RESPONSES = 2
+# Most next-best candidates FinitePointOracle returns in OracleAnswer.extra.
+# On blotto-lattice, solve time falls from 2 extras to 8 and is flat to 16.
+EXTRA_RESPONSES = 8
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,12 @@ class OracleAnswer:
     ``extra`` holds further strategies of the same player, other than
     ``point``, that the oracle found promising on the way.  They come with
     no value and no guarantee: the double oracle adds them to its strategy
-    sets, no bound uses them, and fictitious play ignores them.  The
-    built-in oracles return at most :data:`EXTRA_RESPONSES`:
+    sets, no bound uses them, and fictitious play ignores them.
     :class:`FinitePointOracle` (and so :class:`~.blotto.BlottoGridOracle`)
-    its next-best candidates, :class:`~.one_dim.GridSearchOracle` the best
-    peaks of its cell-endpoint sums.  The MILP oracle and fictitious play's
-    running responders return none.
+    returns up to :data:`EXTRA_RESPONSES` next-best candidates, and
+    :class:`~.one_dim.GridSearchOracle` up to
+    :data:`~.one_dim.EXTRA_PEAKS` peaks of its cell-endpoint sums.  The
+    MILP oracle and fictitious play's running responders return none.
     """
 
     point: StrategyPoint
@@ -78,7 +79,8 @@ class FinitePointOracle:
     player 2), ties to the lowest index.  Candidates with a non-finite
     value are left out, and so is the answer's index; a candidate list
     that repeats a point can repeat it there, and the engine adds a held
-    strategy only once.  They cost no utility evaluations.
+    strategy only once.  They cost no utility evaluations, and the double
+    oracle adds all of them to the subgame in one block.
     """
 
     def __init__(

@@ -34,7 +34,7 @@ from double_oracle import (
     run_fictitious_play,
 )
 from double_oracle.blotto import game_definition
-from double_oracle.one_dim import POLYNOMIAL_LIPSCHITZ, TOWNSEND_LIPSCHITZ
+from double_oracle.one_dim import EXTRA_PEAKS, POLYNOMIAL_LIPSCHITZ, TOWNSEND_LIPSCHITZ
 from double_oracle.oracles import EXTRA_RESPONSES
 
 RPS = [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]
@@ -71,15 +71,32 @@ def test_polynomial_benchmark_from_origin():
     assert res.iterations <= 50
 
 
-def test_strategy_sets_grow_by_at_most_the_answer_and_its_extras():
-    game, o1, o2 = polynomial_setup(1e-3)
-    res = run_double_oracle(game, o1, o2, [point(0.0)], [point(0.0)], epsilon=1e-3)
+def growth_steps(res):
+    """Every amount by which an axis of the subgame grew between two iterations."""
     steps = set()
     for prev, cur in zip(res.trace, res.trace[1:]):
         steps |= {cur.size_x - prev.size_x, cur.size_y - prev.size_y}
-    assert steps <= set(range(EXTRA_RESPONSES + 2))
+    return steps
+
+
+def test_strategy_sets_grow_by_at_most_the_answer_and_its_extras():
+    game, o1, o2 = polynomial_setup(1e-3)
+    res = run_double_oracle(game, o1, o2, [point(0.0)], [point(0.0)], epsilon=1e-3)
+    steps = growth_steps(res)
+    assert steps <= set(range(EXTRA_PEAKS + 2))
     assert max(steps) > 1  # the extras were added
     assert res.trace[0].size_x == 1 and res.trace[0].size_y == 1
+
+
+def test_lattice_sets_grow_by_at_most_the_answer_and_its_extras():
+    bg = BlottoGame(3, (1.0, 1.1, 0.95), 1 / 16)
+    corners = [point(1.0, 0.0, 0.0), point(0.0, 1.0, 0.0), point(0.0, 0.0, 1.0)]
+    o1, o2 = BlottoGridOracle(bg, 1), BlottoGridOracle(bg, 2)
+    res = run_double_oracle(game_definition(bg), o1, o2, corners, corners, epsilon=1e-6)
+    assert res.terminated_by == "gap"
+    steps = growth_steps(res)
+    assert steps <= set(range(EXTRA_RESPONSES + 2))
+    assert max(steps) > 3  # more extras than the grid oracle returns
 
 
 @pytest.mark.parametrize("make, lipschitz", [
@@ -375,6 +392,28 @@ def test_absorb_returns_the_first_match_in_insertion_order():
     with pytest.raises(DomainError):  # not broadcast against the 1-D coordinates
         held.add(point(0.2, 0.2))
     assert len(held) == 4
+
+
+def test_lacking_is_what_add_appends_point_by_point():
+    # Multiples of 4e-10 lie within MERGE_TOL of their neighbours and their
+    # neighbours' neighbours, so chains of near points are common.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        held = [point(float(k) * 4e-10) for k in rng.integers(0, 12, size=rng.integers(0, 4))]
+        new = [point(float(k) * 4e-10) for k in rng.integers(0, 12, size=rng.integers(0, 6))]
+        one_by_one = PointSet()
+        for pt in held:
+            one_by_one.add(pt)
+        batch = PointSet(held)
+        assert batch.points == one_by_one.points
+        appended = []
+        for pt in new:
+            if one_by_one.index(pt) is None:
+                appended.append(pt)
+            one_by_one.add(pt)
+        assert batch.lacking(new) == appended
+    with pytest.raises(DomainError):
+        PointSet([point(0.5)]).lacking([point(0.5), point(0.2, 0.2)])
 
 
 def test_streaming_callback_sees_every_record():

@@ -166,21 +166,32 @@ def subgame_state(mg):
 
 
 def test_bad_utility_output_raises_before_anything_is_added():
-    game, rows, cols = embed_matrix_game([*PENNIES, [2.0, -2.0]])
+    game, rows, cols = embed_matrix_game([[1.0, -1.0, 0.5], [-1.0, 1.0, 0.0], [2.0, -2.0, 1.0]])
 
-    def nan_at_row_2_col_1(x, y):
+    def touches_2_2(x, y):
+        return (x[..., 0] == 2.0) & (y[..., 0] == 2.0)
+
+    def nan_at_2_2(x, y):
+        return np.where(touches_2_2(x, y), np.nan, game.utility(x, y))
+
+    def one_entry_short_at_2_2(x, y):
         u = game.utility(x, y)
-        return np.where((x[..., 0] == 2.0) & (y[..., 0] == 1.0), np.nan, u)
+        return u[..., :-1] if touches_2_2(x, y).any() else u
 
-    def one_entry_short(x, y):
-        return game.utility(x, y)[..., :-1]
-
-    for utility in (nan_at_row_2_col_1, one_entry_short):
+    for utility in (nan_at_2_2, one_entry_short_at_2_2):
         bad = replace(game, utility=utility)
         with pytest.raises(ModelError):
             subgame_matrix(bad, rows, cols)
-        # a new row against the held column 1, then a new column 1 against row 2
-        for held, new in [((rows[:2], cols), (rows[2:], [])), ((rows, cols[:1]), ([], cols[1:]))]:
+        # The held sets, then the points added: entry (2, 2) is new each
+        # time, and in a batch it belongs to the second point, or to the
+        # new columns after good new rows.  Nothing may be added.
+        for held, new in [
+            ((rows[:2], cols), (rows[2:], [])),
+            ((rows, cols[:2]), ([], cols[2:])),
+            ((rows[:1], cols), (rows[1:], [])),
+            ((rows, cols[:1]), ([], cols[1:])),
+            ((rows[:1], cols[:1]), (rows[1:], cols[1:])),
+        ]:
             mg = subgame_matrix(game, *held)
             before = subgame_state(mg)
             with pytest.raises(ModelError):
@@ -191,7 +202,7 @@ def test_bad_utility_output_raises_before_anything_is_added():
 # ------------------------------------------------- the persistent HiGHS LP
 
 HIGHS_METHODS = (
-    "addCol", "addRow", "clearSolver", "getInfo", "getModelStatus", "getSolution",
+    "addCols", "addRows", "clearSolver", "getInfo", "getModelStatus", "getSolution",
     "modelStatusToString", "passModel", "run", "setOptionValue",
 )
 # The fields and enum members that matrix_game and milp read or set.

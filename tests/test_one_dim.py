@@ -31,12 +31,12 @@ import double_oracle.one_dim as one_dim
 from double_oracle.blotto import game_definition
 from double_oracle.one_dim import (
     CELL_POINTS,
+    EXTRA_PEAKS,
     POLYNOMIAL_LIPSCHITZ,
     TOWNSEND_LIPSCHITZ,
     _row_sums,
     polynomial_utility,
 )
-from double_oracle.oracles import EXTRA_RESPONSES
 
 Q_STAR = FiniteMixedStrategy((point(1.0), point(-1.0)), (0.78, 0.22))
 
@@ -256,7 +256,7 @@ def _reference_extras(game, player, resolution, mix, answer):
             right = k == len(runs) - 1 or runs[k + 1][1] < v
             if left and right and math.isfinite(v) and grid[i] != answer.point.coords[0]:
                 peaks.append((-v, i))
-    return tuple(point(float(grid[i])) for _, i in sorted(peaks)[:EXTRA_RESPONSES])
+    return tuple(point(float(grid[i])) for _, i in sorted(peaks)[:EXTRA_PEAKS])
 
 
 def _constant_game():
@@ -322,7 +322,7 @@ def test_respond_equals_full_grid_scan(name, player, data):
     assert [_bits(a) for a in answers] == [_bits(a) for a in expected]
     assert [a.extra for a in answers] == extras
     for answer in answers:
-        assert len(set(answer.extra)) == len(answer.extra) <= EXTRA_RESPONSES
+        assert len(set(answer.extra)) == len(answer.extra) <= EXTRA_PEAKS
         assert answer.point not in answer.extra
         assert all(space.contains(x) and x.coords[0] in oracle._grid for x in answer.extra)
     responder = oracle.running()
